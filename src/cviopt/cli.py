@@ -157,16 +157,20 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
     """All records for one (dataset, spec) pair; failures become rows."""
     rows: list[dict] = []
     spec = parse_spec(spec_str)
-    data_path, _ = battery_paths(cfg.battery_root, dataset_id)
-    raw = dataio.load_dataset(data_path)
-    ds = dataio.preprocess(raw, derived_seed(cfg.seed, dataset_id, "preprocess"))
-    refs = load_reference_set(cfg.battery_root, dataset_id, ds.n)
 
     def row(**kw) -> dict:
         base = {f: "" for f in RECORD_FIELDS}
         base.update({"dataset": dataset_id, "method": spec_str})
         base.update({key: str(v) for key, v in kw.items()})
         return base
+
+    try:
+        data_path, _ = battery_paths(cfg.battery_root, dataset_id)
+        raw = dataio.load_dataset(data_path)
+        ds = dataio.preprocess(raw, derived_seed(cfg.seed, dataset_id, "preprocess"))
+        refs = load_reference_set(cfg.battery_root, dataset_id, ds.n)
+    except (CviOptError, OSError) as exc:
+        return [row(k="", status="failed", message=f"{type(exc).__name__}: {exc}")]
 
     if refs is None:
         return [row(k="", status="skipped", message="no reference labels")]

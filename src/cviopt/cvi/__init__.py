@@ -1,12 +1,11 @@
 """Cluster validity indices: full evaluation and incremental evaluators."""
 
-from .evaluators import CVIEvaluator, make_evaluator
+from .evaluators import CVIEvaluator, evaluate, make_evaluator
 from .indices import (
     ball_hall,
     calinski_harabasz,
     davies_bouldin,
     dunn_nn,
-    evaluate,
     gdunn,
     silhouette,
     silhouette_w,

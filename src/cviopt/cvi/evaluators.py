@@ -19,11 +19,11 @@ import numpy as np
 from sortedcontainers import SortedList
 
 from ..dataio import Dataset
-from ..errors import ParameterError
 from ..geometry import DistanceProvider, emst
 from ..nngraph import NNGraph, edges_for, knn_for, symmetric_edges
 from ..owa import smooth_extreme_weights
 from ..partition import Move, Partition, check_move, from_labels
+from . import indices
 from .specs import CVISpec
 
 _INF = float("inf")
@@ -36,11 +36,18 @@ def _ratio(num: float, den: float) -> float:
 
 
 class CVIEvaluator:
-    """Base class: move validation, label bookkeeping, value caching."""
+    """Base class: move validation, label bookkeeping, value caching.
 
-    def __init__(self, spec: CVISpec, ds: Dataset, part: Partition) -> None:
+    ``graph`` is the shared near-neighbour graph of the DuNN and WCNN
+    families (built on demand when None); the other families ignore it.
+    """
+
+    def __init__(
+        self, spec: CVISpec, ds: Dataset, part: Partition, graph: NNGraph | None = None
+    ) -> None:
         self.spec = spec
         self.ds = ds
+        self._graph = graph
         self._labels = part.labels.copy()
         self._sizes = part.sizes.astype(np.int64).copy()
         self._k = part.k
@@ -102,11 +109,6 @@ class CVIEvaluator:
         """Refresh sufficient statistics; called with labels/sizes already
         updated to the post-move partition."""
         raise NotImplementedError
-
-    # -- shared helpers ---------------------------------------------------
-
-    def _members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self._labels == j)
 
 
 class _CentroidSSEvaluator(CVIEvaluator):
@@ -187,58 +189,6 @@ class CalinskiHarabaszEvaluator(_CentroidSSEvaluator):
         return self._ch(bcss)
 
 
-class DaviesBouldinEvaluator(CVIEvaluator):
-    """Partial recompute of the two affected clusters per move; the
-    max-over-pairs term is re-derived from the k x k similarity matrix."""
-
-    def _init_state(self) -> None:
-        self._pts = self.ds.points
-        self._t = np.zeros((self._k, self.ds.d))
-        self._sdc = np.zeros(self._k)  # sum of member distances to own centroid
-        for j in range(self._k):
-            self._refresh(j)
-
-    def _refresh(self, j: int) -> None:
-        mem = self._members(j)
-        self._t[j] = self._pts[mem].sum(axis=0)
-        mu = self._t[j] / mem.shape[0]
-        self._sdc[j] = np.linalg.norm(self._pts[mem] - mu, axis=1).sum()
-
-    def _apply(self, m: Move) -> None:
-        self._refresh(m.src)
-        self._refresh(m.dst)
-
-    @staticmethod
-    def _db(t, sizes, sdc) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(sizes > 1, sdc / sizes, np.inf)
-            cents = t / sizes[:, None]
-            m = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
-            r = np.where(m > 0.0, (s[:, None] + s[None, :]) / m, np.inf)
-        np.fill_diagonal(r, -np.inf)
-        return float(-r.max(axis=1).mean())
-
-    def _full_value(self) -> float:
-        return self._db(self._t, self._sizes.astype(np.float64), self._sdc)
-
-    def _peek(self, m: Move) -> float:
-        p, a, b = m.point, m.src, m.dst
-        x = self._pts[p]
-        t2 = self._t.copy()
-        sizes2 = self._sizes.astype(np.float64)
-        sdc2 = self._sdc.copy()
-        t2[a] -= x
-        t2[b] += x
-        sizes2[a] -= 1
-        sizes2[b] += 1
-        mem_a = self._members(a)
-        mem_a = mem_a[mem_a != p]
-        mem_b = np.append(self._members(b), p)
-        sdc2[a] = np.linalg.norm(self._pts[mem_a] - t2[a] / sizes2[a], axis=1).sum()
-        sdc2[b] = np.linalg.norm(self._pts[mem_b] - t2[b] / sizes2[b], axis=1).sum()
-        return self._db(t2, sizes2, sdc2)
-
-
 class SilhouetteEvaluator(CVIEvaluator):
     """O(nk) update via per-point sums of distances to every cluster."""
 
@@ -311,28 +261,47 @@ class SilhouetteWEvaluator(SilhouetteEvaluator):
     weighted = True
 
 
-class GDunnEvaluator(CVIEvaluator):
-    """One evaluator for all 15 GDunn variants.
+def _sum_to_centroid(pts: np.ndarray, t_row: np.ndarray) -> float:
+    """Sum of distances from ``pts`` to their centroid ``t_row / len(pts)``."""
+    return float(np.linalg.norm(pts - t_row / pts.shape[0], axis=1).sum())
 
-    Separation d1 rides on the Euclidean MST (the closest cross-partition
-    pair is always an MST edge); d2/d3 keep k x k cross max/sum matrices
-    with the two affected rows recomputed per move; d4/d5 and D3 derive
-    from per-cluster vector sums and distance-to-centroid sums; D1 keeps
-    cluster diameters with their witness pairs; D2 keeps within-cluster
-    pair-distance sums.
+
+def _centroid_gaps(t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """k x k distances between the centroids ``t / sizes``."""
+    cents = t / sizes[:, None]
+    return np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
+
+
+class _ClusterStatsEvaluator(CVIEvaluator):
+    """An index that is one formula, ``_value_of(st, sizes)``, over
+    per-cluster statistics: ``value()`` applies it to the current
+    statistics and ``peek`` to the post-move ones.
+
+    ``needs`` names the statistics a subclass reads; ``st`` holds them:
+
+    - ``cross``: MST edge weights, +inf on within-cluster edges (the
+      closest cross-cluster pair always lies on the Euclidean MST);
+    - ``bmax``: k x k block distance maxima, off-diagonal blocks for
+      ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``; each
+      has a witness pair in ``self._wit`` (a peek lists new ones in ``new_wit``);
+    - ``bsum``: k x k block distance sums (the diagonal counts each pair twice);
+    - ``t``/``sdc``: per-cluster point sums and distance-to-centroid sums.
+
+    A commit refreshes the sums of the two touched clusters from their
+    members, so rounding never accumulates.  The exact statistics (cross,
+    bmax) adopt the post-move values that the peek of the same move computed.
     """
 
-    def _init_state(self) -> None:
-        self._dp = DistanceProvider(self.ds)
-        self._pts = self.ds.points
-        d, D = self.spec.d_variant, self.spec.big_d_variant
-        self._dvar, self._Dvar = d, D
-        k = self._k
-        self._iu = np.triu_indices(k, 1)
+    needs: frozenset = frozenset()
 
-        if d == 1:
+    def _init_state(self) -> None:
+        k, needs = self._k, self.needs
+        self._pts = self.ds.points
+        self._dp = DistanceProvider(self.ds) if needs & {"bmax_off", "bmax_diag", "bsum"} else None
+        self._mem: list = [None] * k
+        st = self._st = {}
+        if "cross" in needs:
             mu, mv, mw = emst(self.ds)
-            self._mst_u, self._mst_v, self._mst_w = mu, mv, mw
             inc: list[list[int]] = [[] for _ in range(self._n)]
             other: list[list[int]] = [[] for _ in range(self._n)]
             for e in range(mu.shape[0]):
@@ -342,268 +311,182 @@ class GDunnEvaluator(CVIEvaluator):
                 other[mv[e]].append(mu[e])
             self._mst_inc = [np.asarray(ix, dtype=np.int64) for ix in inc]
             self._mst_other = [np.asarray(ox, dtype=np.int64) for ox in other]
-            self._mst_cross = self._labels[mu] != self._labels[mv]
-        if d == 2:
-            self._cmax = np.full((k, k), -np.inf)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    v = self._cross_max(self._members(i), self._members(j))
-                    self._cmax[i, j] = self._cmax[j, i] = v
-        if d == 3:
-            self._csum = np.zeros((k, k))
-            for i in range(k):
-                for j in range(i + 1, k):
-                    v = float(self._dp.sub(self._members(i), self._members(j)).sum())
-                    self._csum[i, j] = self._csum[j, i] = v
-        if d in (4, 5) or D == 3:
-            self._t = np.zeros((k, self.ds.d))
-            for j in range(k):
-                self._t[j] = self._pts[self._members(j)].sum(axis=0)
-        if d == 5 or D == 3:
-            self._sdc = np.zeros(k)
-            for j in range(k):
-                self._sdc[j] = self._sum_dist_to_centroid(self._members(j), self._t[j])
-        if D == 1:
-            self._diam = np.zeros(k)
-            self._diam_pair = np.full((k, 2), -1, dtype=np.int64)
-            for j in range(k):
-                self._refresh_diameter(j)
-        if D == 2:
-            self._ws = np.zeros(k)
-            for j in range(k):
-                mem = self._members(j)
-                if mem.shape[0] > 1:
-                    self._ws[j] = float(self._dp.sub(mem, mem).sum()) / 2.0
+            self._mst_w = mw
+            st["cross"] = np.where(self._labels[mu] != self._labels[mv], mw, np.inf)
+        if "bsum" in needs:
+            st["bsum"] = np.zeros((k, k))
+        if "t" in needs:
+            st["t"] = np.zeros((k, self.ds.d))
+        if "sdc" in needs:
+            st["sdc"] = np.zeros(k)
+        self._refresh(range(k))
+        if needs & {"bmax_off", "bmax_diag"}:
+            eye = np.eye(k, dtype=bool)
+            track = ("bmax_off" in needs) & ~eye | ("bmax_diag" in needs) & eye
+            self._track = [np.flatnonzero(row).tolist() for row in track]
+            st["bmax"] = np.zeros((k, k))
+            st["new_wit"] = []
+            self._wit = np.full((k, k, 2), -1, dtype=np.int64)
+            for i, j in zip(*np.nonzero(np.triu(track))):
+                self._rescan(st, i, j, self._mem[i], self._mem[j])
+            self._adopt_witnesses(st.pop("new_wit"))
 
-    # -- small helpers ----------------------------------------------------
+    def _refresh(self, rows) -> None:
+        """Recompute the members and the summed statistics of clusters ``rows``."""
+        st, mem = self._st, self._mem
+        for r in rows:
+            mem[r] = np.flatnonzero(self._labels == r)
+        for i, r in enumerate(rows):
+            if "bsum" in st:
+                # a block shared with an earlier row was summed from that row's
+                # side; summing the transposed block can differ in the last bit
+                for j in range(self._k):
+                    if j not in rows[:i]:
+                        st["bsum"][r, j] = st["bsum"][j, r] = self._dp.sub(mem[r], mem[j]).sum()
+            if "t" in st:
+                st["t"][r] = self._pts[mem[r]].sum(axis=0)
+            if "sdc" in st:
+                st["sdc"][r] = _sum_to_centroid(self._pts[mem[r]], st["t"][r])
 
-    def _cross_max(self, mem_i: np.ndarray, mem_j: np.ndarray) -> float:
-        return float(self._dp.sub(mem_i, mem_j).max())
+    def _rescan(self, st: dict, i: int, j: int, mem_i: np.ndarray, mem_j: np.ndarray) -> None:
+        block = self._dp.sub(mem_i, mem_j)
+        u, v = divmod(int(block.argmax()), block.shape[1])
+        st["bmax"][i, j] = st["bmax"][j, i] = block[u, v]
+        st["new_wit"].append((i, j, mem_i[u], mem_j[v]))
 
-    def _sum_dist_to_centroid(self, mem: np.ndarray, t_row: np.ndarray) -> float:
-        mu = t_row / mem.shape[0]
-        return float(np.linalg.norm(self._pts[mem] - mu, axis=1).sum())
+    def _adopt_witnesses(self, new_wit: list) -> None:
+        """Record the witness pairs ``(i, j, u, v)``, u in cluster i and v in j,
+        and flag the points that witness some tracked block maximum."""
+        for i, j, u, v in new_wit:
+            self._wit[i, j] = (u, v)
+            self._wit[j, i] = (v, u)
+        self._witness = np.zeros(self._n, dtype=bool)
+        for i, cols in enumerate(self._track):
+            self._witness[self._wit[i, cols]] = True
 
-    def _refresh_diameter(self, j: int) -> None:
-        mem = self._members(j)
-        if mem.shape[0] < 2:
-            self._diam[j] = 0.0
-            self._diam_pair[j] = (-1, -1)
-            return
-        block = self._dp.sub(mem, mem)
-        flat = int(block.argmax())
-        i1, i2 = divmod(flat, mem.shape[0])
-        self._diam[j] = float(block[i1, i2])
-        self._diam_pair[j] = (mem[i1], mem[i2])
-
-    def _rbc(self, row: np.ndarray) -> np.ndarray:
-        """Per-cluster sums of one distance row; own-cluster entry excludes
-        the moving point itself because d(p, p) = 0."""
-        return np.bincount(self._labels, weights=row, minlength=self._k)
-
-    # -- value assembly ---------------------------------------------------
+    def _value_of(self, st: dict, sizes: np.ndarray) -> float:
+        raise NotImplementedError
 
     def _full_value(self) -> float:
-        return _ratio(self._numerator_now(), self._denominator_now())
-
-    def _numerator_now(self) -> float:
-        d = self._dvar
-        iu = self._iu
-        if d == 1:
-            return float(self._mst_w[self._mst_cross].min())
-        if d == 2:
-            return float(self._cmax[iu].min())
-        if d == 3:
-            sizes = self._sizes.astype(np.float64)
-            counts = sizes[:, None] * sizes[None, :]
-            return float((self._csum[iu] / counts[iu]).min())
-        if d == 4:
-            cents = self._t / self._sizes[:, None]
-            m = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
-            return float(m[iu].min())
-        sizes = self._sizes.astype(np.float64)
-        pair = (self._sdc[:, None] + self._sdc[None, :]) / (sizes[:, None] + sizes[None, :])
-        return float(pair[iu].min())
-
-    def _denominator_now(self) -> float:
-        D = self._Dvar
-        if D == 1:
-            return float(self._diam.max())
-        if D == 2:
-            sizes = self._sizes.astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                means = np.where(self._sizes > 1, self._ws / (sizes * (sizes - 1) / 2.0), 0.0)
-            return float(means.max())
-        return float((self._sdc / self._sizes).max())
-
-    # -- peek ---------------------------------------------------------------
+        return self._value_of(self._st, self._sizes.astype(np.float64))
 
     def _peek(self, m: Move) -> float:
-        row = self._dp.row(m.point)
-        scratch: dict = {}
-        num = self._peek_numerator(m, row, scratch)
-        den = self._peek_denominator(m, row, scratch)
-        return _ratio(num, den)
-
-    def _rbc_for(self, row: np.ndarray, scratch: dict) -> np.ndarray:
-        if "rbc" not in scratch:
-            scratch["rbc"] = self._rbc(row)
-        return scratch["rbc"]
-
-    def _new_sizes(self, m: Move) -> np.ndarray:
-        sizes = self._sizes.astype(np.float64).copy()
-        sizes[m.src] -= 1
-        sizes[m.dst] += 1
-        return sizes
-
-    def _sdc_after(self, m: Move, scratch: dict) -> np.ndarray:
-        if "sdc2" in scratch:
-            return scratch["sdc2"]
         p, a, b = m.point, m.src, m.dst
-        x = self._pts[p]
-        sdc2 = self._sdc.copy()
-        mem_a = self._members(a)
-        mem_a = mem_a[mem_a != p]
-        mem_b = np.append(self._members(b), p)
-        sdc2[a] = self._sum_dist_to_centroid(mem_a, self._t[a] - x)
-        sdc2[b] = self._sum_dist_to_centroid(mem_b, self._t[b] + x)
-        scratch["sdc2"] = sdc2
-        return sdc2
-
-    def _peek_numerator(self, m: Move, row: np.ndarray, scratch: dict) -> float:
-        d, k = self._dvar, self._k
-        p, a, b = m.point, m.src, m.dst
-        iu = self._iu
-        if d == 1:
-            mask = self._mst_cross.copy()
+        sizes = self._sizes.astype(np.float64)
+        sizes[a] -= 1
+        sizes[b] += 1
+        mem = self._mem
+        st = dict(self._st)
+        row = self._dp.row(p) if self._dp is not None else None
+        if "cross" in st:
             idx = self._mst_inc[p]
-            if idx.size:
-                mask[idx] = self._labels[self._mst_other[p]] != b
-            return float(self._mst_w[mask].min())
-        if d == 2:
-            c2 = self._cmax.copy()
-            mem_a = self._members(a)
-            mem_a = mem_a[mem_a != p]
-            mem_b = np.append(self._members(b), p)
-            mems = {a: mem_a, b: mem_b}
-            for j in range(k):
-                if j != a:
-                    mj = mems.get(j, None)
-                    if mj is None:
-                        mj = self._members(j)
-                    c2[a, j] = c2[j, a] = self._cross_max(mem_a, mj)
-                if j != b and j != a:
-                    c2[b, j] = c2[j, b] = self._cross_max(mem_b, self._members(j))
-            return float(c2[iu].min())
-        if d == 3:
-            c2 = self._csum.copy()
-            rbc = self._rbc_for(row, scratch)
-            for j in range(k):
-                if j != a:
-                    c2[a, j] -= rbc[j]
-                    c2[j, a] = c2[a, j]
-            for j in range(k):
-                if j != b:
-                    c2[b, j] += rbc[j]
-                    c2[j, b] = c2[b, j]
-            sizes2 = self._new_sizes(m)
-            counts = sizes2[:, None] * sizes2[None, :]
-            return float((c2[iu] / counts[iu]).min())
-        if d == 4:
+            st["cross"] = st["cross"].copy()
+            st["cross"][idx] = np.where(
+                self._labels[self._mst_other[p]] != b, self._mst_w[idx], np.inf
+            )
+        if "bmax" in st:
+            # a block of a changes only if p witnessed its maximum; a block
+            # of b can only grow, by p's distances to the other side (d(p, p)
+            # = 0, so pre-move member sets give the same maxima)
+            bmax = st["bmax"] = st["bmax"].copy()
+            st["new_wit"] = []
+            if self._witness[p]:
+                rest = mem[a][mem[a] != p]
+                for j in self._track[a]:
+                    if p in self._wit[a, j]:
+                        self._rescan(st, a, j, rest, rest if j == a else mem[j])
+            for j in self._track[b]:
+                far = row[mem[j]]
+                i = int(far.argmax())
+                if far[i] > bmax[b, j]:
+                    bmax[b, j] = bmax[j, b] = far[i]
+                    st["new_wit"].append((b, j, p, mem[j][i]))
+        if "bsum" in st:
+            rbc = np.bincount(self._labels, weights=row, minlength=self._k)
+            old = st["bsum"]
+            s = st["bsum"] = old.copy()
+            s[a] -= rbc
+            s[:, a] = s[a]
+            s[b] += rbc
+            s[:, b] = s[b]
+            s[a, a] = old[a, a] - 2 * rbc[a]
+            s[b, b] = old[b, b] + 2 * rbc[b]
+        if "t" in st:
             x = self._pts[p]
-            t2 = self._t.copy()
-            t2[a] -= x
-            t2[b] += x
-            sizes2 = self._new_sizes(m)
-            cents = t2 / sizes2[:, None]
-            mm = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
-            return float(mm[iu].min())
-        sdc2 = self._sdc_after(m, scratch)
-        sizes2 = self._new_sizes(m)
-        pair = (sdc2[:, None] + sdc2[None, :]) / (sizes2[:, None] + sizes2[None, :])
-        return float(pair[iu].min())
-
-    def _peek_denominator(self, m: Move, row: np.ndarray, scratch: dict) -> float:
-        D = self._Dvar
-        p, a, b = m.point, m.src, m.dst
-        if D == 1:
-            mem_b = self._members(b)
-            diam_b = max(self._diam[b], float(row[mem_b].max()))
-            if p in (self._diam_pair[a][0], self._diam_pair[a][1]):
-                mem_a = self._members(a)
-                mem_a = mem_a[mem_a != p]
-                if mem_a.shape[0] < 2:
-                    diam_a = 0.0
-                else:
-                    diam_a = float(self._dp.sub(mem_a, mem_a).max())
-            else:
-                diam_a = self._diam[a]
-            d2 = self._diam.copy()
-            d2[a] = diam_a
-            d2[b] = diam_b
-            return float(d2.max())
-        if D == 2:
-            rbc = self._rbc_for(row, scratch)
-            ws2 = self._ws.copy()
-            ws2[a] -= rbc[a]
-            ws2[b] += rbc[b]
-            sizes2 = self._new_sizes(m)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                means = np.where(sizes2 > 1, ws2 / (sizes2 * (sizes2 - 1) / 2.0), 0.0)
-            return float(means.max())
-        sdc2 = self._sdc_after(m, scratch)
-        sizes2 = self._new_sizes(m)
-        return float((sdc2 / sizes2).max())
-
-    # -- apply ----------------------------------------------------------------
+            t = st["t"] = st["t"].copy()
+            t[a] -= x
+            t[b] += x
+        if "sdc" in st:
+            sdc = st["sdc"] = st["sdc"].copy()
+            sdc[a] = _sum_to_centroid(self._pts[mem[a][mem[a] != p]], st["t"][a])
+            sdc[b] = _sum_to_centroid(self._pts[np.append(mem[b], p)], st["t"][b])
+        self._moved = st
+        return self._value_of(st, sizes)
 
     def _apply(self, m: Move) -> None:
-        # labels/sizes already post-move here
-        p, a, b = m.point, m.src, m.dst
-        d, D = self._dvar, self._Dvar
-        if d == 1:
-            idx = self._mst_inc[p]
-            if idx.size:
-                self._mst_cross[idx] = self._labels[self._mst_other[p]] != b
-        if d == 2:
-            for j in range(self._k):
-                if j != a:
-                    v = self._cross_max(self._members(a), self._members(j))
-                    self._cmax[a, j] = self._cmax[j, a] = v
-                if j != b and j != a:
-                    v = self._cross_max(self._members(b), self._members(j))
-                    self._cmax[b, j] = self._cmax[j, b] = v
-        if d == 3:
-            for j in range(self._k):
-                if j != a:
-                    v = float(self._dp.sub(self._members(a), self._members(j)).sum())
-                    self._csum[a, j] = self._csum[j, a] = v
-                if j != b and j != a:
-                    v = float(self._dp.sub(self._members(b), self._members(j)).sum())
-                    self._csum[b, j] = self._csum[j, b] = v
-        if d in (4, 5) or D == 3:
-            for j in (a, b):
-                self._t[j] = self._pts[self._members(j)].sum(axis=0)
-        if d == 5 or D == 3:
-            for j in (a, b):
-                self._sdc[j] = self._sum_dist_to_centroid(self._members(j), self._t[j])
-        if D == 1:
-            row = self._dp.row(p)
-            mem_b = self._members(b)
-            mem_b = mem_b[mem_b != p]
-            if mem_b.size:
-                far = float(row[mem_b].max())
-                if far > self._diam[b]:
-                    self._diam[b] = far
-                    self._diam_pair[b] = (p, mem_b[int(row[mem_b].argmax())])
-            if p in (self._diam_pair[a][0], self._diam_pair[a][1]):
-                self._refresh_diameter(a)
-        if D == 2:
-            for j in (a, b):
-                mem = self._members(j)
-                self._ws[j] = (
-                    float(self._dp.sub(mem, mem).sum()) / 2.0 if mem.shape[0] > 1 else 0.0
-                )
+        # commit peeked m just before, so self._moved holds its statistics
+        for key in ("cross", "bmax"):
+            if key in self._st:
+                self._st[key] = self._moved[key]
+        if "bmax" in self._st:
+            self._adopt_witnesses(self._moved["new_wit"])
+        self._refresh((m.src, m.dst))
+
+
+class DaviesBouldinEvaluator(_ClusterStatsEvaluator):
+    needs = frozenset({"t", "sdc"})
+
+    def _value_of(self, st: dict, sizes: np.ndarray) -> float:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(sizes > 1, st["sdc"] / sizes, np.inf)
+            gaps = _centroid_gaps(st["t"], sizes)
+            r = np.where(gaps > 0.0, np.add.outer(s, s) / gaps, np.inf)
+        np.fill_diagonal(r, -np.inf)
+        return float(-r.max(axis=1).mean())
+
+
+def _pooled_spread(st: dict, sizes: np.ndarray) -> np.ndarray:
+    """k x k size-weighted mean distance of two clusters' members to their own centroids."""
+    return np.add.outer(st["sdc"], st["sdc"]) / np.add.outer(sizes, sizes)
+
+
+def _mean_within(st: dict, sizes: np.ndarray) -> float:
+    """Largest mean within-cluster pair distance; singletons count 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = np.where(sizes > 1, st["bsum"].diagonal() / (sizes * (sizes - 1)), 0.0)
+    return means.max()
+
+
+# GDunn separations dX (the smallest over cluster pairs i < j, indexed by iu)
+# and compactnesses DY (the largest over clusters), Bezdek & Pal (1998):
+# variant -> (statistics read, formula)
+_SEPARATIONS = {
+    1: ({"cross"}, lambda st, sizes, iu: st["cross"].min()),
+    2: ({"bmax_off"}, lambda st, sizes, iu: st["bmax"][iu].min()),
+    3: ({"bsum"}, lambda st, sizes, iu: (st["bsum"][iu] / np.outer(sizes, sizes)[iu]).min()),
+    4: ({"t"}, lambda st, sizes, iu: _centroid_gaps(st["t"], sizes)[iu].min()),
+    5: ({"t", "sdc"}, lambda st, sizes, iu: _pooled_spread(st, sizes)[iu].min()),
+}
+_COMPACTNESSES = {
+    1: ({"bmax_diag"}, lambda st, sizes: st["bmax"].diagonal().max()),
+    2: ({"bsum"}, _mean_within),
+    3: ({"t", "sdc"}, lambda st, sizes: (st["sdc"] / sizes).max()),
+}
+
+
+class GDunnEvaluator(_ClusterStatsEvaluator):
+    """All 15 GDunn variants: one separation over one compactness."""
+
+    def _init_state(self) -> None:
+        sep_needs, self._separation = _SEPARATIONS[self.spec.d_variant]
+        comp_needs, self._compactness = _COMPACTNESSES[self.spec.big_d_variant]
+        self.needs = frozenset(sep_needs | comp_needs)
+        self._iu = np.triu_indices(self._k, 1)
+        super()._init_state()
+
+    def _value_of(self, st: dict, sizes: np.ndarray) -> float:
+        num = float(self._separation(st, sizes, self._iu))
+        return _ratio(num, float(self._compactness(st, sizes)))
 
 
 class _MergedExtreme:
@@ -656,10 +539,6 @@ class DuNNEvaluator(CVIEvaluator):
     the cross-cluster and within-cluster multisets, so aggregation costs
     O((M + support) log E) instead of a full re-sort.
     """
-
-    def __init__(self, spec, ds, part, graph: NNGraph | None = None):
-        self._graph = graph
-        super().__init__(spec, ds, part)
 
     def _init_state(self) -> None:
         if self._graph is not None:
@@ -759,10 +638,6 @@ class DuNNEvaluator(CVIEvaluator):
 class WCNNEvaluator(CVIEvaluator):
     """Integer count of directed same-cluster NN pairs; exact updates."""
 
-    def __init__(self, spec, ds, part, graph: NNGraph | None = None):
-        self._graph = graph
-        super().__init__(spec, ds, part)
-
     def _init_state(self) -> None:
         g = self._graph if self._graph is not None else knn_for(self.ds, self.spec.m)
         self._nb = g.neighbours
@@ -813,24 +688,35 @@ class WCNNEvaluator(CVIEvaluator):
         )
 
 
+#: family -> (definitional function of (spec, ds, p, graph), evaluator class)
+FAMILY_TABLE = {
+    "BallHall": (lambda s, ds, p, g: indices.ball_hall(ds, p), BallHallEvaluator),
+    "CalinskiHarabasz": (
+        lambda s, ds, p, g: indices.calinski_harabasz(ds, p),
+        CalinskiHarabaszEvaluator,
+    ),
+    "DaviesBouldin": (lambda s, ds, p, g: indices.davies_bouldin(ds, p), DaviesBouldinEvaluator),
+    "Silhouette": (lambda s, ds, p, g: indices.silhouette(ds, p), SilhouetteEvaluator),
+    "SilhouetteW": (lambda s, ds, p, g: indices.silhouette_w(ds, p), SilhouetteWEvaluator),
+    "GDunn": (
+        lambda s, ds, p, g: indices.gdunn(ds, p, s.d_variant, s.big_d_variant),
+        GDunnEvaluator,
+    ),
+    "DuNN": (
+        lambda s, ds, p, g: indices.dunn_nn(ds, p, s.m, s.owa_s, s.owa_c, graph=g),
+        DuNNEvaluator,
+    ),
+    "WCNN": (lambda s, ds, p, g: indices.wcnn(ds, p, s.m, graph=g), WCNNEvaluator),
+}
+
+
+def evaluate(spec: CVISpec, ds: Dataset, p: Partition, graph: NNGraph | None = None) -> float:
+    """Full (definitional) evaluation of ``spec`` on (ds, p)."""
+    return FAMILY_TABLE[spec.family][0](spec, ds, p, graph)
+
+
 def make_evaluator(
     spec: CVISpec, ds: Dataset, p: Partition, graph: NNGraph | None = None
 ) -> CVIEvaluator:
     """Build the incremental evaluator for ``spec`` at partition ``p``."""
-    if spec.family == "BallHall":
-        return BallHallEvaluator(spec, ds, p)
-    if spec.family == "CalinskiHarabasz":
-        return CalinskiHarabaszEvaluator(spec, ds, p)
-    if spec.family == "DaviesBouldin":
-        return DaviesBouldinEvaluator(spec, ds, p)
-    if spec.family == "Silhouette":
-        return SilhouetteEvaluator(spec, ds, p)
-    if spec.family == "SilhouetteW":
-        return SilhouetteWEvaluator(spec, ds, p)
-    if spec.family == "GDunn":
-        return GDunnEvaluator(spec, ds, p)
-    if spec.family == "DuNN":
-        return DuNNEvaluator(spec, ds, p, graph=graph)
-    if spec.family == "WCNN":
-        return WCNNEvaluator(spec, ds, p, graph=graph)
-    raise ParameterError(f"unknown family {spec.family!r}")
+    return FAMILY_TABLE[spec.family][1](spec, ds, p, graph)

@@ -15,7 +15,6 @@ from ..geometry import DistanceProvider
 from ..nngraph import NNGraph, edges_for, knn_for, symmetric_edges
 from ..owa import OWASpec, aggregate
 from ..partition import Partition
-from .specs import CVISpec
 
 
 def _centroids(ds: Dataset, p: Partition) -> np.ndarray:
@@ -214,24 +213,3 @@ def wcnn(ds: Dataset, p: Partition, M: int, graph: NNGraph | None = None) -> flo
     g = graph if graph is not None else knn_for(ds, M)
     same = p.labels[g.neighbours] == p.labels[:, None]
     return float(same.sum() / (ds.n * M))
-
-
-def evaluate(spec: CVISpec, ds: Dataset, p: Partition, graph: NNGraph | None = None) -> float:
-    """Dispatch a full evaluation of ``spec`` on (ds, p)."""
-    if spec.family == "BallHall":
-        return ball_hall(ds, p)
-    if spec.family == "CalinskiHarabasz":
-        return calinski_harabasz(ds, p)
-    if spec.family == "DaviesBouldin":
-        return davies_bouldin(ds, p)
-    if spec.family == "Silhouette":
-        return silhouette(ds, p)
-    if spec.family == "SilhouetteW":
-        return silhouette_w(ds, p)
-    if spec.family == "GDunn":
-        return gdunn(ds, p, spec.d_variant, spec.big_d_variant)
-    if spec.family == "DuNN":
-        return dunn_nn(ds, p, spec.m, spec.owa_s, spec.owa_c, graph=graph)
-    if spec.family == "WCNN":
-        return wcnn(ds, p, spec.m, graph=graph)
-    raise ParameterError(f"unknown family {spec.family!r}")

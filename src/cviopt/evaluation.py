@@ -22,32 +22,25 @@ from .errors import (
 )
 
 
-@dataclass
-class ConfusionMatrix:
-    """Co-occurrence counts between two labelings."""
+def contingency(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+    """Co-occurrence counts of two non-negative integer labelings: cell
+    (i, j) counts the points labeled i in ``a`` and j in ``b``."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    ncols = int(b.max()) + 1
+    cells = np.bincount(a * ncols + b, minlength=(int(a.max()) + 1) * ncols)
+    return cells.reshape(-1, ncols)
 
-    counts: dict[tuple[int, int], int]
-    row_marginals: dict[int, int]
-    col_marginals: dict[int, int]
-    total: int
 
-
-def contingency(a: Sequence[int], b: Sequence[int]) -> ConfusionMatrix:
-    counts: dict[tuple[int, int], int] = {}
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    total = 0
-    for x, y in zip(a, b):
-        x, y = int(x), int(y)
-        counts[(x, y)] = counts.get((x, y), 0) + 1
-        rows[x] = rows.get(x, 0) + 1
-        cols[y] = cols.get(y, 0) + 1
-        total += 1
-    return ConfusionMatrix(counts, rows, cols, total)
+def _pairs(counts: np.ndarray, total: int) -> int:
+    """Sum of C(c, 2) over ``counts``, which sum to ``total``, as a Python int."""
+    c = counts.ravel()
+    return (int(c @ c) - total) // 2
 
 
 def adjusted_rand(a, b, exclude_noise: bool = False) -> float:
-    """Hubert-Arabie adjusted Rand index between two labelings.
+    """Hubert-Arabie adjusted Rand index between two non-negative integer
+    labelings.
 
     With ``exclude_noise``, points labeled 0 in ``a`` (the reference) are
     dropped from both vectors before counting.  The raw value is returned
@@ -63,12 +56,13 @@ def adjusted_rand(a, b, exclude_noise: bool = False) -> float:
         b = b[keep]
     if a.shape[0] < 2:
         raise UndefinedScoreError("fewer than 2 points to score")
-    cm = contingency(a, b)
-    sum_t = sum(v * (v - 1) // 2 for v in cm.counts.values())
-    sum_a = sum(v * (v - 1) // 2 for v in cm.row_marginals.values())
-    sum_b = sum(v * (v - 1) // 2 for v in cm.col_marginals.values())
-    cn2 = cm.total * (cm.total - 1) // 2
-    # ARI scaled to integers; one correctly-rounded division at the end
+    n = a.shape[0]
+    sum_t = _pairs(contingency(a, b), n)
+    sum_a = _pairs(np.bincount(a), n)
+    sum_b = _pairs(np.bincount(b), n)
+    cn2 = n * (n - 1) // 2
+    # ARI scaled to Python integers (cn2 * sum_t overflows int64 near
+    # n = 1e5); one correctly-rounded division at the end
     num = 2 * (cn2 * sum_t - sum_a * sum_b)
     den = cn2 * (sum_a + sum_b) - 2 * sum_a * sum_b
     if den == 0:

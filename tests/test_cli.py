@@ -270,3 +270,22 @@ def test_run_parallel_jobs_match_serial(tmp_path):
     run_benchmark(RunConfig.load(str(p2)))
     strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
     assert strip(read_records(c1["output_dir"])) == strip(read_records(c2["output_dir"]))
+
+
+def test_malformed_data_file_becomes_a_failed_row(tmp_path):
+    battery = write_battery(tmp_path / "battery")
+    bad = battery / "toy" / "blobs.data"
+    bad.write_text(bad.read_text().replace("0.0", "0.O", 1))
+    runs = []
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        path, cfg = make_config(tmp_path, battery, out_name=name, specs=["BallHall"], jobs=jobs)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        rows = read_records(cfg["output_dir"])
+        assert [(r["dataset"], r["k"], r["status"]) for r in rows] == [
+            ("toy/blobs", "", "failed"),
+            ("toy/pairs", "2", "ok"),
+            ("toy/pairs", "4", "ok"),
+        ]
+        assert rows[0]["message"].startswith("DataParseError: ")
+        runs.append([{k: v for k, v in r.items() if k != "seconds"} for r in rows])
+    assert runs[0] == runs[1]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_surjective_labels
-from cviopt import cvi, dataio
-from cviopt.cvi import make_evaluator, parse_spec
-from cviopt.errors import InvalidMoveError
+from cviopt import cvi, dataio, geometry
+from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
+from cviopt.errors import InvalidMoveError, ParameterError
 from cviopt.partition import Move, apply_move, enumerate_moves, from_labels
 
 ALL_SPECS = (
@@ -38,6 +38,25 @@ def random_walk(rng, p, steps):
         path.append(m)
         cur = apply_move(cur, m)
     return path
+
+
+def walk_matches_full_recompute(spec, rng):
+    for _ in range(4):
+        n = int(rng.integers(12, 45))
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(2, 5))
+        ds = make_dataset(rng, n, d)
+        p = from_labels(random_surjective_labels(rng, n, k), k)
+        ev = make_evaluator(spec, ds, p)
+        assert close(ev.value(), cvi.evaluate(spec, ds, p)), "init"
+        cur = p
+        for m in random_walk(rng, p, 30):
+            peeked = ev.peek(m)
+            cur = apply_move(cur, m)
+            full = cvi.evaluate(spec, ds, cur)
+            assert close(peeked, full), f"{spec}: peek {peeked} vs full {full}"
+            ev.commit(m)
+            assert ev.value() == peeked
 
 
 def test_make_evaluator_matches_full(x4):
@@ -92,24 +111,33 @@ def test_invalid_moves_rejected(x4):
 
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_trajectory_matches_full_recompute(text):
-    rng = np.random.default_rng(abs(hash(text)) % 2**32)
-    spec = parse_spec(text)
-    for _ in range(4):
-        n = int(rng.integers(12, 45))
-        d = int(rng.integers(1, 4))
-        k = int(rng.integers(2, 5))
-        ds = make_dataset(rng, n, d)
-        p = from_labels(random_surjective_labels(rng, n, k), k)
-        ev = make_evaluator(spec, ds, p)
-        assert close(ev.value(), cvi.evaluate(spec, ds, p)), "init"
-        cur = p
-        for m in random_walk(rng, p, 30):
-            peeked = ev.peek(m)
-            cur = apply_move(cur, m)
-            full = cvi.evaluate(spec, ds, cur)
-            assert close(peeked, full), f"{text}: peek {peeked} vs full {full}"
-            ev.commit(m)
-            assert ev.value() == peeked
+    walk_matches_full_recompute(parse_spec(text), np.random.default_rng(abs(hash(text)) % 2**32))
+
+
+ON_DEMAND_SPECS = ["Silhouette", "SilhouetteW", "DaviesBouldin"] + [
+    f"GDunn_d{d}_D{D}" for d in (2, 3, 4, 5) for D in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("text", ON_DEMAND_SPECS)
+def test_on_demand_distances_match_full_recompute(text, monkeypatch):
+    # above the dense limit every distance comes from on-demand rows
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)
+    walk_matches_full_recompute(parse_spec(text), np.random.default_rng(len(text)))
+
+
+@pytest.mark.parametrize("D", (1, 2, 3))
+def test_gdunn_d1_needs_dense_distances(D, monkeypatch):
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)
+    rng = np.random.default_rng(D)
+    ds = make_dataset(rng, 20, 2)
+    p = from_labels(random_surjective_labels(rng, 20, 2), 2)
+    with pytest.raises(ParameterError):
+        make_evaluator(parse_spec(f"GDunn_d1_D{D}"), ds, p)
+
+
+def test_family_table_covers_every_family():
+    assert set(evaluators.FAMILY_TABLE) == set(FAMILIES)
 
 
 def test_long_run_drift_stays_bounded():
