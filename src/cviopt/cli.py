@@ -175,7 +175,6 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
     if refs is None:
         return [row(k="", status="skipped", message="no reference labels")]
 
-    graph = None
     if spec.needs_knn:
         if spec.m >= ds.n:
             return [row(k="", status="skipped", message=f"M={spec.m} >= n={ds.n}")]
@@ -192,7 +191,6 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
                         ),
                     )
                 ]
-        graph = knn_for(ds, spec.m)
 
     candidate_dirs = []
     if cfg.candidate_root:
@@ -229,10 +227,9 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
                 n_vantage=cfg.n_vantage,
                 vantage_v=cfg.vantage_v,
                 kmeans_restarts=cfg.kmeans_restarts,
-                graph=graph,
             )
         except CviOptError as exc:
-            rows.append(row(k=k, status="failed", message=str(exc)))
+            rows.append(row(k=k, status="failed", message=f"{type(exc).__name__}: {exc}"))
             continue
         elapsed = time.perf_counter() - t0
         out_dir = os.path.join(cfg.output_dir, dataset_id)
@@ -283,7 +280,8 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     """Execute every (dataset, spec) job; returns (records, failure count).
 
     Completed (dataset, method, k) triples found in an existing records
-    file are skipped, which makes interrupted runs resumable.
+    file are skipped, which makes interrupted runs resumable; the earlier
+    skipped and failed rows of a job run again are replaced by its new ones.
     """
     datasets = discover_datasets(cfg.battery_root)
     if cfg.include:
@@ -299,11 +297,17 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     ) as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
 
+    jobs = [(d, s) for d in datasets for s in cfg.specs]
     records_path = os.path.join(cfg.output_dir, "records.csv")
-    existing = _read_records(records_path)
+    # a job run again writes its skipped/failed rows afresh
+    rerun = set(jobs)
+    existing = [
+        r
+        for r in _read_records(records_path)
+        if r["status"] == "ok" or (r["dataset"], r["method"]) not in rerun
+    ]
     done = {(r["dataset"], r["method"], str(r["k"])) for r in existing if r["status"] == "ok"}
 
-    jobs = [(d, s) for d in datasets for s in cfg.specs]
     new_rows: list[dict] = []
     if cfg.jobs <= 1:
         for d, s in jobs:

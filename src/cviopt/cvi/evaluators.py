@@ -16,17 +16,18 @@ Dataset, distance matrix and NN graph are immutable and shared.
 from __future__ import annotations
 
 import numpy as np
-from sortedcontainers import SortedList
 
+from .. import owa
 from ..dataio import Dataset
 from ..geometry import DistanceProvider, emst
-from ..nngraph import NNGraph, edges_for, knn_for, symmetric_edges
-from ..owa import smooth_extreme_weights
+from ..nngraph import edges_for, knn_for
 from ..partition import Move, Partition, check_move, from_labels
 from . import indices
 from .specs import CVISpec
 
 _INF = float("inf")
+_MIN = owa.OWASpec("Min")
+_NO_EDGES = np.empty(0, dtype=np.int64)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -36,18 +37,11 @@ def _ratio(num: float, den: float) -> float:
 
 
 class CVIEvaluator:
-    """Base class: move validation, label bookkeeping, value caching.
+    """Base class: move validation, label bookkeeping, value caching."""
 
-    ``graph`` is the shared near-neighbour graph of the DuNN and WCNN
-    families (built on demand when None); the other families ignore it.
-    """
-
-    def __init__(
-        self, spec: CVISpec, ds: Dataset, part: Partition, graph: NNGraph | None = None
-    ) -> None:
+    def __init__(self, spec: CVISpec, ds: Dataset, part: Partition) -> None:
         self.spec = spec
         self.ds = ds
-        self._graph = graph
         self._labels = part.labels.copy()
         self._sizes = part.sizes.astype(np.int64).copy()
         self._k = part.k
@@ -272,6 +266,74 @@ def _centroid_gaps(t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
 
 
+class _EdgeSplit:
+    """A fixed edge set (u, v, w) split by a labeling into a cross-cluster
+    side (0) and a within-cluster side (1).
+
+    The edges are ranked once by weight, stably, so equal weights keep
+    distinct ranks; each side is the sorted array of its ranks, so its
+    extreme weights sit at its ends.  A move of point p flips only p's
+    incident edges from one side to the other.
+    """
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: np.ndarray) -> None:
+        order = np.argsort(w, kind="stable")
+        u, v, self._w = u[order], v[order], w[order]
+        ends = np.concatenate([u, v])
+        ranks = np.tile(np.arange(len(w)), 2)
+        opp = np.concatenate([v, u])
+        by_point = np.argsort(ends, kind="stable")
+        starts = np.searchsorted(ends[by_point], np.arange(len(labels) + 1))
+        ranks, opp = ranks[by_point], opp[by_point]
+        self._inc = [ranks[s:e] for s, e in zip(starts[:-1], starts[1:])]
+        self._opp = [opp[s:e] for s, e in zip(starts[:-1], starts[1:])]
+        self._within = labels[u] == labels[v]
+        self._refresh()
+
+    def _refresh(self) -> None:
+        self._sides = (np.flatnonzero(~self._within), np.flatnonzero(self._within))
+        self._sums = tuple(float(self._w[r].sum()) for r in self._sides)
+
+    def flips(self, labels: np.ndarray, p: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks of p's edges that turn cross and that turn within when p
+        moves from cluster a to b.  p is never its own neighbour, so the
+        pre-move and the post-move labels give the same answer."""
+        lab = labels[self._opp[p]]
+        inc = self._inc[p]
+        return inc[lab == a], inc[lab == b]
+
+    def commit(self, to_cross: np.ndarray, to_within: np.ndarray) -> None:
+        self._within[to_cross] = False
+        self._within[to_within] = True
+        self._refresh()
+
+    def aggregate(self, spec: owa.OWASpec, side: int, removed: np.ndarray, added: np.ndarray):
+        """OWA of the side's weights after the ``removed`` ranks leave it and
+        the ``added`` ranks join it; None when that leaves it empty."""
+        if spec.is_const:
+            return 1.0
+        ranks = self._sides[side]
+        z = len(ranks) - len(removed) + len(added)
+        if z <= 0:
+            return None
+        if spec.kind == "Mean":
+            return (self._sums[side] - self._w[removed].sum() + self._w[added].sum()) / z
+        # the t extreme weights after the move lie among the side's
+        # t + len(removed) extreme ranks and the added ones; a lower rank
+        # never has a larger weight, so Min and Max read an extreme rank
+        span = (1 if spec.delta is None else 3 * spec.delta) + len(removed)
+        near = (ranks[:span] if spec.kind in ("Min", "SMin") else ranks[-span:]).tolist()
+        if len(removed):
+            gone = set(removed.tolist())
+            near = [r for r in near if r not in gone]
+        cand = near + added.tolist()
+        if spec.kind == "Min":
+            return float(self._w[min(cand)])
+        if spec.kind == "Max":
+            return float(self._w[max(cand)])
+        return owa.aggregate(spec, self._w[cand])
+
+
 class _ClusterStatsEvaluator(CVIEvaluator):
     """An index that is one formula, ``_value_of(st, sizes)``, over
     per-cluster statistics: ``value()`` applies it to the current
@@ -279,8 +341,9 @@ class _ClusterStatsEvaluator(CVIEvaluator):
 
     ``needs`` names the statistics a subclass reads; ``st`` holds them:
 
-    - ``cross``: MST edge weights, +inf on within-cluster edges (the
-      closest cross-cluster pair always lies on the Euclidean MST);
+    - ``cross``: the smallest cross-cluster MST edge weight (the closest
+      cross-cluster pair always lies on the Euclidean MST), kept by an
+      ``_EdgeSplit`` of the MST; a peek lists its edge flips in ``flips``;
     - ``bmax``: k x k block distance maxima, off-diagonal blocks for
       ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``; each
       has a witness pair in ``self._wit`` (a peek lists new ones in ``new_wit``);
@@ -301,18 +364,8 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         self._mem: list = [None] * k
         st = self._st = {}
         if "cross" in needs:
-            mu, mv, mw = emst(self.ds)
-            inc: list[list[int]] = [[] for _ in range(self._n)]
-            other: list[list[int]] = [[] for _ in range(self._n)]
-            for e in range(mu.shape[0]):
-                inc[mu[e]].append(e)
-                other[mu[e]].append(mv[e])
-                inc[mv[e]].append(e)
-                other[mv[e]].append(mu[e])
-            self._mst_inc = [np.asarray(ix, dtype=np.int64) for ix in inc]
-            self._mst_other = [np.asarray(ox, dtype=np.int64) for ox in other]
-            self._mst_w = mw
-            st["cross"] = np.where(self._labels[mu] != self._labels[mv], mw, np.inf)
+            self._mst = _EdgeSplit(*emst(self.ds), self._labels)
+            st["cross"] = self._mst.aggregate(_MIN, 0, _NO_EDGES, _NO_EDGES)
         if "bsum" in needs:
             st["bsum"] = np.zeros((k, k))
         if "t" in needs:
@@ -379,11 +432,8 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         st = dict(self._st)
         row = self._dp.row(p) if self._dp is not None else None
         if "cross" in st:
-            idx = self._mst_inc[p]
-            st["cross"] = st["cross"].copy()
-            st["cross"][idx] = np.where(
-                self._labels[self._mst_other[p]] != b, self._mst_w[idx], np.inf
-            )
+            to_cross, to_within = st["flips"] = self._mst.flips(self._labels, p, a, b)
+            st["cross"] = self._mst.aggregate(_MIN, 0, to_within, to_cross)
         if "bmax" in st:
             # a block of a changes only if p witnessed its maximum; a block
             # of b can only grow, by p's distances to the other side (d(p, p)
@@ -428,6 +478,8 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         for key in ("cross", "bmax"):
             if key in self._st:
                 self._st[key] = self._moved[key]
+        if "cross" in self._st:
+            self._mst.commit(*self._moved["flips"])
         if "bmax" in self._st:
             self._adopt_witnesses(self._moved["new_wit"])
         self._refresh((m.src, m.dst))
@@ -461,7 +513,7 @@ def _mean_within(st: dict, sizes: np.ndarray) -> float:
 # and compactnesses DY (the largest over clusters), Bezdek & Pal (1998):
 # variant -> (statistics read, formula)
 _SEPARATIONS = {
-    1: ({"cross"}, lambda st, sizes, iu: st["cross"].min()),
+    1: ({"cross"}, lambda st, sizes, iu: st["cross"]),
     2: ({"bmax_off"}, lambda st, sizes, iu: st["bmax"][iu].min()),
     3: ({"bsum"}, lambda st, sizes, iu: (st["bsum"][iu] / np.outer(sizes, sizes)[iu]).min()),
     4: ({"t"}, lambda st, sizes, iu: _centroid_gaps(st["t"], sizes)[iu].min()),
@@ -489,158 +541,38 @@ class GDunnEvaluator(_ClusterStatsEvaluator):
         return _ratio(num, float(self._compactness(st, sizes)))
 
 
-class _MergedExtreme:
-    """Order statistics of (multiset - removed + added) near one extreme."""
-
-    @staticmethod
-    def take(sl: SortedList, removed: list, added: list, t: int, largest: bool) -> list:
-        span = t + len(removed)
-        if largest:
-            base = list(sl.islice(max(0, len(sl) - span), len(sl)))[::-1]
-            rem = sorted(removed, reverse=True)
-            add = sorted(added, reverse=True)
-        else:
-            base = list(sl.islice(0, min(span, len(sl))))
-            rem = sorted(removed)
-            add = sorted(added)
-        kept = []
-        ri = 0
-        for x in base:
-            if ri < len(rem) and rem[ri] == x:
-                ri += 1
-                continue
-            kept.append(x)
-        # merge two extreme-sorted lists, keep the first t
-        out = []
-        i = j = 0
-        while len(out) < t and (i < len(kept) or j < len(add)):
-            if j >= len(add):
-                out.append(kept[i])
-                i += 1
-            elif i >= len(kept):
-                out.append(add[j])
-                j += 1
-            else:
-                ki, aj = kept[i], add[j]
-                better = (ki >= aj) if largest else (ki <= aj)
-                if better:
-                    out.append(ki)
-                    i += 1
-                else:
-                    out.append(add[j])
-                    j += 1
-        return out
-
-
 class DuNNEvaluator(CVIEvaluator):
-    """Order-statistic multisets over the fixed NN edge set.
-
-    A move flips only the edges incident to the relocated point between
-    the cross-cluster and within-cluster multisets, so aggregation costs
-    O((M + support) log E) instead of a full re-sort.
-    """
+    """OWA aggregates over an ``_EdgeSplit`` of the symmetrized NN edges:
+    a peek aggregates each side near its extreme, O(M + support)."""
 
     def _init_state(self) -> None:
-        if self._graph is not None:
-            edges = symmetric_edges(self._graph)
-        else:
-            edges = edges_for(self.ds, self.spec.m)
-        self._eu, self._ev, self._ed = edges.u, edges.v, edges.dist
-        E = len(edges)
-        both = np.concatenate([self._eu, self._ev])
-        eidx = np.concatenate([np.arange(E), np.arange(E)])
-        opp = np.concatenate([self._ev, self._eu])
-        order = np.argsort(both, kind="stable")
-        both, eidx, opp = both[order], eidx[order], opp[order]
-        starts = np.searchsorted(both, np.arange(self._n + 1))
-        self._inc = [eidx[starts[i] : starts[i + 1]] for i in range(self._n)]
-        self._opp = [opp[starts[i] : starts[i + 1]] for i in range(self._n)]
-        self._within = self._labels[self._eu] == self._labels[self._ev]
-        self._cross_sl = SortedList(self._ed[~self._within])
-        self._within_sl = SortedList(self._ed[self._within])
-        self._cross_sum = float(self._ed[~self._within].sum())
-        self._within_sum = float(self._ed[self._within].sum())
+        edges = edges_for(self.ds, self.spec.m)
+        self._split = _EdgeSplit(edges.u, edges.v, edges.dist, self._labels)
 
-    def _aggregate(self, sl: SortedList, total: float, spec, removed: list, added: list):
-        """Aggregate of (sl - removed + added); None signals an empty multiset."""
-        if spec.is_const:
-            return 1.0
-        z = len(sl) - len(removed) + len(added)
-        if z <= 0:
-            return None
-        if spec.kind == "Mean":
-            return (total - sum(removed) + sum(added)) / z
-        if spec.kind == "Min":
-            return _MergedExtreme.take(sl, removed, added, 1, largest=False)[0]
-        if spec.kind == "Max":
-            return _MergedExtreme.take(sl, removed, added, 1, largest=True)[0]
-        t = min(3 * spec.delta, z)
-        w = smooth_extreme_weights(spec.delta, t)
-        ext = _MergedExtreme.take(sl, removed, added, t, largest=(spec.kind == "SMax"))
-        return float(np.dot(w, np.asarray(ext)))
-
-    def _value_for(self, removed_cross, added_cross) -> float:
-        """removed_cross: edges leaving the cross side (they join within)."""
-        num = self._aggregate(
-            self._cross_sl, self._cross_sum, self.spec.owa_s, removed_cross, added_cross
-        )
+    def _value_for(self, to_cross: np.ndarray, to_within: np.ndarray) -> float:
+        num = self._split.aggregate(self.spec.owa_s, 0, to_within, to_cross)
         if num is None:
             return _INF  # no cross edges: perfect separation
-        den = self._aggregate(
-            self._within_sl, self._within_sum, self.spec.owa_c, added_cross, removed_cross
-        )
+        den = self._split.aggregate(self.spec.owa_c, 1, to_cross, to_within)
         if den is None:
             return -_INF  # no within edges to witness compactness
         return _ratio(num, den)
 
     def _full_value(self) -> float:
-        return self._value_for([], [])
-
-    def _flips(self, m: Move):
-        p, a, b = m.point, m.src, m.dst
-        inc = self._inc[p]
-        lab_o = self._labels[self._opp[p]]
-        before_within = lab_o == a
-        after_within = lab_o == b
-        to_cross = self._ed[inc[before_within & ~after_within]]
-        to_within = self._ed[inc[~before_within & after_within]]
-        return list(to_cross), list(to_within)
+        return self._value_for(_NO_EDGES, _NO_EDGES)
 
     def _peek(self, m: Move) -> float:
-        to_cross, to_within = self._flips(m)
-        return self._value_for(removed_cross=to_within, added_cross=to_cross)
+        return self._value_for(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
     def _apply(self, m: Move) -> None:
-        # labels already post-move; recompute flip sets from the pre-move side
-        p, a, b = m.point, m.src, m.dst
-        inc = self._inc[p]
-        lab_o = self._labels[self._opp[p]]
-        was_within = lab_o == a
-        now_within = lab_o == b
-        gone = inc[was_within & ~now_within]
-        came = inc[~was_within & now_within]
-        for e in gone:
-            d = self._ed[e]
-            self._within_sl.remove(d)
-            self._cross_sl.add(d)
-            self._within_sum -= d
-            self._cross_sum += d
-            self._within[e] = False
-        for e in came:
-            d = self._ed[e]
-            self._cross_sl.remove(d)
-            self._within_sl.add(d)
-            self._cross_sum -= d
-            self._within_sum += d
-            self._within[e] = True
+        self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
 
 class WCNNEvaluator(CVIEvaluator):
     """Integer count of directed same-cluster NN pairs; exact updates."""
 
     def _init_state(self) -> None:
-        g = self._graph if self._graph is not None else knn_for(self.ds, self.spec.m)
-        self._nb = g.neighbours
+        self._nb = knn_for(self.ds, self.spec.m).neighbours
         n, M = self._nb.shape
         src = np.repeat(np.arange(n, dtype=np.int64), M)
         tgt = self._nb.ravel()
@@ -688,35 +620,30 @@ class WCNNEvaluator(CVIEvaluator):
         )
 
 
-#: family -> (definitional function of (spec, ds, p, graph), evaluator class)
+#: family -> (definitional function of (spec, ds, p), evaluator class)
 FAMILY_TABLE = {
-    "BallHall": (lambda s, ds, p, g: indices.ball_hall(ds, p), BallHallEvaluator),
+    "BallHall": (lambda s, ds, p: indices.ball_hall(ds, p), BallHallEvaluator),
     "CalinskiHarabasz": (
-        lambda s, ds, p, g: indices.calinski_harabasz(ds, p),
+        lambda s, ds, p: indices.calinski_harabasz(ds, p),
         CalinskiHarabaszEvaluator,
     ),
-    "DaviesBouldin": (lambda s, ds, p, g: indices.davies_bouldin(ds, p), DaviesBouldinEvaluator),
-    "Silhouette": (lambda s, ds, p, g: indices.silhouette(ds, p), SilhouetteEvaluator),
-    "SilhouetteW": (lambda s, ds, p, g: indices.silhouette_w(ds, p), SilhouetteWEvaluator),
+    "DaviesBouldin": (lambda s, ds, p: indices.davies_bouldin(ds, p), DaviesBouldinEvaluator),
+    "Silhouette": (lambda s, ds, p: indices.silhouette(ds, p), SilhouetteEvaluator),
+    "SilhouetteW": (lambda s, ds, p: indices.silhouette_w(ds, p), SilhouetteWEvaluator),
     "GDunn": (
-        lambda s, ds, p, g: indices.gdunn(ds, p, s.d_variant, s.big_d_variant),
+        lambda s, ds, p: indices.gdunn(ds, p, s.d_variant, s.big_d_variant),
         GDunnEvaluator,
     ),
-    "DuNN": (
-        lambda s, ds, p, g: indices.dunn_nn(ds, p, s.m, s.owa_s, s.owa_c, graph=g),
-        DuNNEvaluator,
-    ),
-    "WCNN": (lambda s, ds, p, g: indices.wcnn(ds, p, s.m, graph=g), WCNNEvaluator),
+    "DuNN": (lambda s, ds, p: indices.dunn_nn(ds, p, s.m, s.owa_s, s.owa_c), DuNNEvaluator),
+    "WCNN": (lambda s, ds, p: indices.wcnn(ds, p, s.m), WCNNEvaluator),
 }
 
 
-def evaluate(spec: CVISpec, ds: Dataset, p: Partition, graph: NNGraph | None = None) -> float:
+def evaluate(spec: CVISpec, ds: Dataset, p: Partition) -> float:
     """Full (definitional) evaluation of ``spec`` on (ds, p)."""
-    return FAMILY_TABLE[spec.family][0](spec, ds, p, graph)
+    return FAMILY_TABLE[spec.family][0](spec, ds, p)
 
 
-def make_evaluator(
-    spec: CVISpec, ds: Dataset, p: Partition, graph: NNGraph | None = None
-) -> CVIEvaluator:
+def make_evaluator(spec: CVISpec, ds: Dataset, p: Partition) -> CVIEvaluator:
     """Build the incremental evaluator for ``spec`` at partition ``p``."""
-    return FAMILY_TABLE[spec.family][1](spec, ds, p, graph)
+    return FAMILY_TABLE[spec.family][1](spec, ds, p)

@@ -12,7 +12,7 @@ import numpy as np
 from ..dataio import Dataset
 from ..errors import ParameterError
 from ..geometry import DistanceProvider
-from ..nngraph import NNGraph, edges_for, knn_for, symmetric_edges
+from ..nngraph import edges_for, knn_for
 from ..owa import OWASpec, aggregate
 from ..partition import Partition
 
@@ -179,16 +179,9 @@ def gdunn(ds: Dataset, p: Partition, d_variant: int, big_d_variant: int) -> floa
     return num / den
 
 
-def dunn_nn(
-    ds: Dataset,
-    p: Partition,
-    M: int,
-    owa_s: OWASpec,
-    owa_c: OWASpec,
-    graph: NNGraph | None = None,
-) -> float:
+def dunn_nn(ds: Dataset, p: Partition, M: int, owa_s: OWASpec, owa_c: OWASpec) -> float:
     """Dunn-type index over the symmetrized M-near-neighbour edge distances."""
-    edges = symmetric_edges(graph) if graph is not None else edges_for(ds, M)
+    edges = edges_for(ds, M)
     cross = p.labels[edges.u] != p.labels[edges.v]
     cross_d = edges.dist[cross]
     within_d = edges.dist[~cross]
@@ -205,11 +198,11 @@ def dunn_nn(
     return num / den
 
 
-def wcnn(ds: Dataset, p: Partition, M: int, graph: NNGraph | None = None) -> float:
+def wcnn(ds: Dataset, p: Partition, M: int) -> float:
     """Fraction of directed NN pairs staying within a cluster; -inf whenever
     some cluster has M or fewer points."""
     if (p.sizes <= M).any():
         return float("-inf")
-    g = graph if graph is not None else knn_for(ds, M)
+    g = knn_for(ds, M)
     same = p.labels[g.neighbours] == p.labels[:, None]
     return float(same.sum() / (ds.n * M))

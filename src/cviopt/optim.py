@@ -27,7 +27,6 @@ from .errors import (
     GenerationError,
     ParameterError,
 )
-from .nngraph import NNGraph
 from .partition import (
     Move,
     Partition,
@@ -149,18 +148,17 @@ def _climb(
     ds: Dataset,
     candidates: Sequence[Partition],
     P: int,
-    graph: NNGraph | None,
     trace: OptimTrace,
 ) -> Partition:
     """The hill-climbing scheme itself; candidates must be pre-sorted by
     decreasing objective value."""
     tabu = TabuList()
     best_labels = candidates[0].labels.copy()
-    best_value = evaluate(spec, ds, candidates[0], graph=graph)
+    best_value = evaluate(spec, ds, candidates[0])
     trace.best_history.append(best_value)
 
     for cand in candidates:
-        ev = make_evaluator(spec, ds, cand, graph=graph)
+        ev = make_evaluator(spec, ds, cand)
         patience = 1
         work = np.empty_like(ev.labels)
         while True:
@@ -202,7 +200,6 @@ def tabu_hill_climb(
     ds: Dataset,
     candidates: Sequence[Partition],
     P: int = DEFAULT_PATIENCE,
-    graph: NNGraph | None = None,
     trace: OptimTrace | None = None,
 ) -> Partition:
     """Run the climb from a pool of candidate partitions, best first.
@@ -222,13 +219,13 @@ def tabu_hill_climb(
             )
     if n != ds.n:
         raise ContractViolationError("candidates do not match the dataset size")
-    values = [evaluate(spec, ds, c, graph=graph) for c in candidates]
+    values = [evaluate(spec, ds, c) for c in candidates]
     order = sorted(range(len(candidates)), key=lambda i: -values[i])
     ordered = [candidates[i] for i in order]
     if trace is None:
         trace = OptimTrace()
     trace.candidate_count = len(candidates)
-    return _climb(spec, ds, ordered, P, graph, trace)
+    return _climb(spec, ds, ordered, P, trace)
 
 
 def resolve_noise(ds: Dataset, ext_labels: np.ndarray) -> np.ndarray:
@@ -274,7 +271,6 @@ def optimise_dataset(
     n_vantage: int = DEFAULT_VANTAGE_V,
     vantage_v: int = DEFAULT_VANTAGE_V,
     kmeans_restarts: int = 10,
-    graph: NNGraph | None = None,
 ) -> tuple[Partition, OptimTrace]:
     """Assemble the candidate pool and run the climb.
 
@@ -321,5 +317,5 @@ def optimise_dataset(
         raise ConfigError("empty candidate pool")
 
     trace = OptimTrace()
-    best = tabu_hill_climb(spec, ds, deduped, P=P, graph=graph, trace=trace)
+    best = tabu_hill_climb(spec, ds, deduped, P=P, trace=trace)
     return best, trace

@@ -289,3 +289,37 @@ def test_malformed_data_file_becomes_a_failed_row(tmp_path):
         assert rows[0]["message"].startswith("DataParseError: ")
         runs.append([{k: v for k, v in r.items() if k != "seconds"} for r in rows])
     assert runs[0] == runs[1]
+
+
+def test_rerun_replaces_earlier_failed_and_skipped_rows(tmp_path, capsys):
+    battery = write_battery(tmp_path / "battery")
+    bad = battery / "toy" / "blobs.data"
+    bad.write_text(bad.read_text().replace("0.0", "0.O", 1))
+    runs = []
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        path, cfg = make_config(
+            tmp_path, battery, out_name=name, specs=["BallHall"], jobs=jobs, neighbourhood_budget=20
+        )
+        for _ in range(3):
+            assert cli.main(["run", "--config", str(path)]) == 1
+            assert "records: 3 (1 ok, 1 skipped, 1 failed)" in capsys.readouterr().out
+            rows = read_records(cfg["output_dir"])
+            assert [(r["dataset"], r["k"], r["status"]) for r in rows] == [
+                ("toy/blobs", "", "failed"),
+                ("toy/pairs", "2", "ok"),
+                ("toy/pairs", "4", "skipped"),
+            ]
+        runs.append([{k: v for k, v in r.items() if k != "seconds"} for r in rows])
+    assert runs[0] == runs[1]
+
+
+def test_optimiser_failure_names_the_exception_type(tmp_path, monkeypatch):
+    from cviopt import geometry
+
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)  # GDunn d1 needs the dense EMST
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, specs=["GDunn_d1_D1"], include=["toy/pairs"])
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    assert failures == 2
+    assert [(r["k"], r["status"]) for r in rows] == [("2", "failed"), ("4", "failed")]
+    assert all(r["message"].startswith("ParameterError: EMST needs") for r in rows)

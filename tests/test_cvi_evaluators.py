@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,12 +45,19 @@ def random_walk(rng, p, steps):
     return path
 
 
-def walk_matches_full_recompute(spec, rng):
+def lattice_dataset(rng, n, d):
+    """Distinct points of a small integer grid: many equal distances."""
+    side = int(np.ceil(2 * n ** (1 / d)))
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), -1).reshape(-1, d)
+    return dataio.Dataset(grid[rng.choice(len(grid), n, replace=False)].astype(float))
+
+
+def walk_matches_full_recompute(spec, rng, make=make_dataset):
     for _ in range(4):
         n = int(rng.integers(12, 45))
         d = int(rng.integers(1, 4))
         k = int(rng.integers(2, 5))
-        ds = make_dataset(rng, n, d)
+        ds = make(rng, n, d)
         p = from_labels(random_surjective_labels(rng, n, k), k)
         ev = make_evaluator(spec, ds, p)
         assert close(ev.value(), cvi.evaluate(spec, ds, p)), "init"
@@ -112,6 +124,40 @@ def test_invalid_moves_rejected(x4):
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_trajectory_matches_full_recompute(text):
     walk_matches_full_recompute(parse_spec(text), np.random.default_rng(abs(hash(text)) % 2**32))
+
+
+TIED_SPECS = [
+    "DuNN_3_Min_Max",
+    "DuNN_3_Max_Min",
+    "DuNN_5_SMin:2_SMax:2",
+    "DuNN_5_SMax:1_SMin:3",
+    "DuNN_4_SMin:1_Const",
+] + [f"GDunn_d1_D{D}" for D in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("text", TIED_SPECS)
+def test_tied_edge_weights_match_full_recompute(text):
+    # lattice points give many equal edge weights; ranks keep them apart
+    walk_matches_full_recompute(parse_spec(text), np.random.default_rng(len(text)), lattice_dataset)
+
+
+def test_dunn_runs_without_sortedcontainers():
+    code = """
+import sys
+sys.modules["sortedcontainers"] = None
+import numpy as np
+from cviopt import dataio
+from cviopt.cvi import make_evaluator, parse_spec
+from cviopt.partition import Move, from_labels
+ds = dataio.Dataset(np.random.default_rng(0).normal(size=(20, 2)))
+ev = make_evaluator(parse_spec("DuNN_3_SMin:2_Max"), ds, from_labels([0] * 10 + [1] * 10, 2))
+v = ev.peek(Move(0, 0, 1))
+ev.commit(Move(0, 0, 1))
+assert ev.value() == v
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 ON_DEMAND_SPECS = ["Silhouette", "SilhouetteW", "DaviesBouldin"] + [
