@@ -265,11 +265,15 @@ def _read_records(path: str) -> list[dict]:
 
 
 def _write_records(path: str, rows: list[dict]) -> None:
+    """Replace the records file atomically: a reader or an interrupted run
+    sees the old file or the new one, never a partial write."""
     rows = sorted(rows, key=lambda r: (r["dataset"], r["method"], str(r["k"])))
-    with open(path, "wt", encoding="utf-8", newline="") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wt", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
+    os.replace(tmp, path)
 
 
 def _job_entry(cfg_dict: dict, dataset_id: str, spec_str: str, done: set) -> list[dict]:
@@ -280,8 +284,9 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     """Execute every (dataset, spec) job; returns (records, failure count).
 
     Completed (dataset, method, k) triples found in an existing records
-    file are skipped, which makes interrupted runs resumable; the earlier
-    skipped and failed rows of a job run again are replaced by its new ones.
+    file are skipped, and the file is rewritten after every job, so an
+    interrupted run resumes where it stopped; the earlier skipped and
+    failed rows of a job run again are replaced by its new ones.
     """
     datasets = discover_datasets(cfg.battery_root)
     if cfg.include:
@@ -301,26 +306,27 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     records_path = os.path.join(cfg.output_dir, "records.csv")
     # a job run again writes its skipped/failed rows afresh
     rerun = set(jobs)
-    existing = [
+    all_rows = [
         r
         for r in _read_records(records_path)
         if r["status"] == "ok" or (r["dataset"], r["method"]) not in rerun
     ]
-    done = {(r["dataset"], r["method"], str(r["k"])) for r in existing if r["status"] == "ok"}
+    done = {(r["dataset"], r["method"], str(r["k"])) for r in all_rows if r["status"] == "ok"}
 
-    new_rows: list[dict] = []
+    def record(rows: list[dict]) -> None:
+        all_rows.extend(rows)
+        _write_records(records_path, all_rows)
+
     if cfg.jobs <= 1:
         for d, s in jobs:
-            new_rows.extend(run_job(cfg, d, s, done))
+            record(run_job(cfg, d, s, done))
     else:
         cfg_dict = asdict(cfg)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_job_entry, cfg_dict, d, s, done) for d, s in jobs]
             for fut in as_completed(futures):
-                new_rows.extend(fut.result())
+                record(fut.result())
 
-    all_rows = existing + new_rows
-    _write_records(records_path, all_rows)
     failures = sum(1 for r in all_rows if r["status"] == "failed")
     return all_rows, failures
 

@@ -1,8 +1,9 @@
 """Incremental index evaluation for single-point relocation moves.
 
 Every evaluator keeps sufficient statistics of the current partition so
-that ``peek`` (value after a hypothetical move) and ``commit`` (apply a
-move) are much cheaper than a from-scratch evaluation.  The contract is
+that ``peek`` (value after a hypothetical move), ``scan`` (the values of
+all moves, bit for bit the peeks) and ``commit`` (apply a move) are much
+cheaper than from-scratch evaluations.  The contract is
 semantic: after any sequence of commits, ``value()`` agrees with the
 definitional implementation in :mod:`cviopt.cvi.indices` to 1e-9 relative.
 Indices without a cheap exact delta fall back to bounded partial
@@ -21,7 +22,7 @@ from .. import owa
 from ..dataio import Dataset
 from ..geometry import DistanceProvider, emst
 from ..nngraph import edges_for, knn_for
-from ..partition import Move, Partition, check_move, from_labels
+from ..partition import Move, Partition, check_move, from_labels, iter_moves
 from . import indices
 from .specs import CVISpec
 
@@ -78,6 +79,15 @@ class CVIEvaluator:
         check_move(self._labels, self._sizes, self._k, m)
         return float(self._peek(m))
 
+    def scan(self) -> np.ndarray:
+        """Value of every move as an (n, k) array: ``out[p, j]`` is
+        ``peek(Move(p, labels[p], j))``, bit for bit; -inf in the own-cluster
+        cell and in every cell of a point whose cluster is a singleton."""
+        out = self._scan()
+        out[np.arange(self._n), self._labels] = -_INF
+        out[self._sizes[self._labels] < 2] = -_INF
+        return out
+
     def commit(self, m: Move) -> None:
         """Advance to the post-move partition; value() becomes peek(m)."""
         check_move(self._labels, self._sizes, self._k, m)
@@ -98,6 +108,14 @@ class CVIEvaluator:
 
     def _peek(self, m: Move) -> float:
         raise NotImplementedError
+
+    def _scan(self) -> np.ndarray:
+        """The valid cells of ``scan``; the others may hold anything.  The
+        moves are valid by construction, so ``check_move`` is skipped."""
+        out = np.full((self._n, self._k), -_INF)
+        for m in iter_moves(self._labels, self._sizes, self._k):
+            out[m.point, m.dst] = self._peek(m)
+        return out
 
     def _apply(self, m: Move) -> None:
         """Refresh sufficient statistics; called with labels/sizes already
@@ -158,17 +176,35 @@ class BallHallEvaluator(_CentroidSSEvaluator):
         total += (sq_dst - (t_dst**2).sum() / n_dst) / n_dst
         return float(-total)
 
+    def _scan(self) -> np.ndarray:
+        # _peek's operations in its order: the source term per point, the
+        # destination term per column, on (n, d) arrays
+        lab, sizes = self._labels, self._sizes
+        ss = self._sq - (self._t**2).sum(axis=1) / sizes
+        per = ss / sizes
+        total = per.sum()
+        out = np.empty((self._n, self._k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n_src = sizes[lab] - 1
+            t_src = ((self._t[lab] - self._pts) ** 2).sum(axis=1)
+            src = (self._sq[lab] - self._sqnorm - t_src / n_src) / n_src
+            for j in range(self._k):
+                n_dst = sizes[j] + 1
+                t_dst = ((self._t[j] + self._pts) ** 2).sum(axis=1)
+                dst = (self._sq[j] + self._sqnorm - t_dst / n_dst) / n_dst
+                out[:, j] = -(total - (per[lab] + per[j]) + src + dst)
+        return out
+
 
 class CalinskiHarabaszEvaluator(_CentroidSSEvaluator):
     def _init_state(self) -> None:
         super()._init_state()
         self._tss = float(self._sqnorm.sum())
 
-    def _ch(self, bcss: float) -> float:
-        wcss = self._tss - bcss
-        if wcss <= 0.0:
-            return _INF
-        return (self._n - self._k) / (self._k - 1) * bcss / wcss
+    def _ch(self, bcss):
+        wcss = self._tss - np.asarray(bcss)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(wcss <= 0.0, _INF, (self._n - self._k) / (self._k - 1) * bcss / wcss)
 
     def _full_value(self) -> float:
         bcss = float(((self._t**2).sum(axis=1) / self._sizes).sum())
@@ -181,6 +217,19 @@ class CalinskiHarabaszEvaluator(_CentroidSSEvaluator):
         bcss -= (self._t[m.dst] ** 2).sum() / self._sizes[m.dst]
         bcss += (t_src**2).sum() / n_src + (t_dst**2).sum() / n_dst
         return self._ch(bcss)
+
+    def _scan(self) -> np.ndarray:
+        # _peek's operations in its order, as in BallHallEvaluator._scan
+        lab, sizes = self._labels, self._sizes
+        bcss = float(((self._t**2).sum(axis=1) / sizes).sum())
+        own = np.array([(self._t[j] ** 2).sum() / sizes[j] for j in range(self._k)])
+        out = np.empty((self._n, self._k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            src = ((self._t[lab] - self._pts) ** 2).sum(axis=1) / (sizes[lab] - 1)
+            for j in range(self._k):
+                dst = ((self._t[j] + self._pts) ** 2).sum(axis=1) / (sizes[j] + 1)
+                out[:, j] = self._ch(bcss - own[lab] - own[j] + (src + dst))
+        return out
 
 
 class SilhouetteEvaluator(CVIEvaluator):
@@ -279,12 +328,14 @@ class _EdgeSplit:
     def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: np.ndarray) -> None:
         order = np.argsort(w, kind="stable")
         u, v, self._w = u[order], v[order], w[order]
+        self._u, self._v = u, v
         ends = np.concatenate([u, v])
         ranks = np.tile(np.arange(len(w)), 2)
         opp = np.concatenate([v, u])
         by_point = np.argsort(ends, kind="stable")
-        starts = np.searchsorted(ends[by_point], np.arange(len(labels) + 1))
-        ranks, opp = ranks[by_point], opp[by_point]
+        ends, ranks, opp = ends[by_point], ranks[by_point], opp[by_point]
+        self._ends, self._ranks, self._opps = ends, ranks, opp
+        starts = np.searchsorted(ends, np.arange(len(labels) + 1))
         self._inc = [ranks[s:e] for s, e in zip(starts[:-1], starts[1:])]
         self._opp = [opp[s:e] for s, e in zip(starts[:-1], starts[1:])]
         self._within = labels[u] == labels[v]
@@ -332,6 +383,33 @@ class _EdgeSplit:
         if spec.kind == "Max":
             return float(self._w[max(cand)])
         return owa.aggregate(spec, self._w[cand])
+
+    def scan_side(self, kind: str, side: int, labels: np.ndarray, k: int):
+        """``aggregate`` of a Min or Max side after every move (p, j) at
+        once, on the premise that the move keeps the side's extreme edge:
+        the weights, (n, k) for the within side and (n, 1) for the cross
+        side, NaN where the side ends empty; and the moves (p, j) that
+        remove that edge, which the caller recomputes."""
+        # moving p to j turns p's edges to its own cluster cross and its
+        # edges to j within, so each side gains the extreme rank of the
+        # edges from p to one cluster
+        pick = np.minimum if kind == "Min" else np.maximum
+        added = np.full(len(labels) * k, len(self._w) if kind == "Min" else -1)
+        pick.at(added, self._ends * k + labels[self._opps], self._ranks)
+        added = added.reshape(-1, k)
+        if side == 0:
+            added = added[np.arange(len(labels)), labels][:, None]
+        w = np.append(self._w, np.nan)  # both "no edge" ranks read NaN
+        ranks = self._sides[side]
+        if not len(ranks):
+            return w[added], set()
+        r = ranks[0] if kind == "Min" else ranks[-1]
+        u, v = int(self._u[r]), int(self._v[r])
+        if side == 0:
+            redo = {(u, int(labels[v])), (v, int(labels[u]))}
+        else:
+            redo = {(p, j) for p in (u, v) for j in range(k)}
+        return w[pick(added, r)], redo
 
 
 class _ClusterStatsEvaluator(CVIEvaluator):
@@ -567,6 +645,27 @@ class DuNNEvaluator(CVIEvaluator):
     def _apply(self, m: Move) -> None:
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
+    def _scan(self) -> np.ndarray:
+        kind_s, kind_c = self.spec.owa_s.kind, self.spec.owa_c.kind
+        if not {kind_s, kind_c} <= {"Min", "Max", "Const"}:
+            return super()._scan()
+        lab, k = self._labels, self._k
+        num, redo = self._split.scan_side(kind_s, 0, lab, k)
+        den = 1.0
+        if kind_c != "Const":
+            den, redo_c = self._split.scan_side(kind_c, 1, lab, k)
+            redo |= redo_c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(den <= 0.0, _INF, num / den)
+        # _value_for's order: no cross edges first, then no within edges
+        out = np.where(np.isnan(num), _INF, np.where(np.isnan(den), -_INF, out))
+        out = np.broadcast_to(out, (self._n, k)).copy()
+        for p, j in redo:
+            a = int(lab[p])
+            if j != a and self._sizes[a] > 1:
+                out[p, j] = self._peek(Move(p, a, j))
+        return out
+
 
 class WCNNEvaluator(CVIEvaluator):
     """Integer count of directed same-cluster NN pairs; exact updates."""
@@ -574,7 +673,7 @@ class WCNNEvaluator(CVIEvaluator):
     def _init_state(self) -> None:
         self._nb = knn_for(self.ds, self.spec.m).neighbours
         n, M = self._nb.shape
-        src = np.repeat(np.arange(n, dtype=np.int64), M)
+        src = self._src = np.repeat(np.arange(n, dtype=np.int64), M)
         tgt = self._nb.ravel()
         order = np.argsort(tgt, kind="stable")
         src_sorted = src[order]
@@ -609,15 +708,25 @@ class WCNNEvaluator(CVIEvaluator):
     def _apply(self, m: Move) -> None:
         # neighbour labels never include the moved point itself, so the
         # delta is the same whether computed pre- or post-move
-        out_lab = self._labels[self._nb[m.point]]
-        in_lab = self._labels[self._in_nb[m.point]]
-        self._count = int(
-            self._count
-            + (out_lab == m.dst).sum()
-            + (in_lab == m.dst).sum()
-            - (out_lab == m.src).sum()
-            - (in_lab == m.src).sum()
-        )
+        self._count += self._delta(m.point, m.src, m.dst)
+
+    def _scan(self) -> np.ndarray:
+        n, k, lab, m = self._n, self._k, self._labels, self.spec.m
+        tgt = self._nb.ravel()
+        # per point and cluster: out-neighbours plus in-neighbours in it
+        hits = np.bincount(self._src * k + lab[tgt], minlength=n * k)
+        hits += np.bincount(tgt * k + lab[self._src], minlength=n * k)
+        hits = hits.reshape(n, k)
+        delta = hits - hits[np.arange(n), lab][:, None]
+        # the size guard depends only on the (src, dst) pair
+        guard = np.zeros((k, k), dtype=bool)
+        for a in range(k):
+            for b in range(k):
+                sizes = self._sizes.copy()
+                sizes[a] -= 1
+                sizes[b] += 1
+                guard[a, b] = (sizes <= m).any()
+        return np.where(guard[lab], -_INF, (self._count + delta) / (n * m))
 
 
 #: family -> (definitional function of (spec, ds, p), evaluator class)

@@ -7,6 +7,12 @@ current partition (descent is how the search escapes local ridges); the
 shared tabu list guarantees no partition is expanded twice within a run.
 The returned solution is always a single-move local maximum of the
 objective.
+
+A step rates every neighbour at once with the evaluator's ``scan()``, an
+(n, k) array of move values, and walks its cells in a stable descending
+sort: the first non-tabu cell is the move, so ties go to the first move
+in (point, target) order, and only the cells ahead of it are looked up
+in the tabu list.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .partition import (
     Partition,
     canonical_key,
     from_labels,
-    iter_moves,
 )
 
 DEFAULT_PATIENCE = 250  # non-improvement budget per candidate
@@ -162,23 +167,23 @@ def _climb(
         patience = 1
         work = np.empty_like(ev.labels)
         while True:
-            # select the best non-tabu single-move neighbour (first in
-            # (point, target) order wins ties)
+            # select the best non-tabu single-move neighbour: a stable sort
+            # keeps the first in (point, target) order among equal values,
+            # and -inf and NaN sort last and are never chosen
+            vals = ev.scan().ravel()
             chosen: Move | None = None
-            chosen_value = float("-inf")
-            for m in iter_moves(ev.labels, ev.sizes, ev.k):
-                v = ev.peek(m)
-                if v > chosen_value:
-                    np.copyto(work, ev.labels)
-                    work[m.point] = m.dst
-                    if work in tabu:
-                        continue
-                    chosen = m
-                    chosen_value = v
+            for cell in np.argsort(-vals, kind="stable"):
+                if not vals[cell] > -np.inf:
+                    break
+                p, j = divmod(int(cell), ev.k)
+                np.copyto(work, ev.labels)
+                work[p] = j
+                if work not in tabu:
+                    chosen = Move(p, int(ev.labels[p]), j)
+                    break
             if chosen is None:
                 break  # every neighbour tabu or rated -inf: next candidate
-            np.copyto(work, ev.labels)
-            work[chosen.point] = chosen.dst
+            chosen_value = ev.peek(chosen)
             tabu.add(work)
             ev.commit(chosen)
             trace.steps += 1

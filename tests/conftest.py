@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: pair
 counting loops for the adjusted Rand index, full distance sorts for
-nearest neighbours, definitional silhouette loops, and restricted-growth
-enumeration of set partitions.
+nearest neighbours, definitional silhouette loops, restricted-growth
+enumeration of set partitions, and a climb that peeks one move at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from cviopt import dataio, partition
+from cviopt import dataio, optim, partition
+from cviopt.cvi import evaluate, make_evaluator
 
 
 @pytest.fixture
@@ -133,3 +134,50 @@ def wcss(points: np.ndarray, labels) -> float:
 def all_cluster_permutation_relabels(labels: np.ndarray, k: int):
     for perm in itertools.permutations(range(k)):
         yield np.array([perm[v] for v in labels])
+
+
+def climb_by_peek(spec, ds, candidates, P):
+    """``optim.tabu_hill_climb`` with one ``peek`` per move in (point,
+    target) order instead of a scan: the reference for the batched climb.
+    Returns the best partition and its ``OptimTrace``."""
+    values = [evaluate(spec, ds, c) for c in candidates]
+    candidates = [candidates[i] for i in sorted(range(len(candidates)), key=lambda i: -values[i])]
+    trace = optim.OptimTrace(candidate_count=len(candidates))
+    tabu = optim.TabuList()
+    best_labels = candidates[0].labels.copy()
+    best_value = evaluate(spec, ds, candidates[0])
+    trace.best_history.append(best_value)
+    for cand in candidates:
+        ev = make_evaluator(spec, ds, cand)
+        patience = 1
+        work = np.empty_like(ev.labels)
+        while True:
+            chosen = None
+            chosen_value = float("-inf")
+            for m in partition.iter_moves(ev.labels, ev.sizes, ev.k):
+                v = ev.peek(m)
+                if v > chosen_value:
+                    np.copyto(work, ev.labels)
+                    work[m.point] = m.dst
+                    if work in tabu:
+                        continue
+                    chosen = m
+                    chosen_value = v
+            if chosen is None:
+                break
+            np.copyto(work, ev.labels)
+            work[chosen.point] = chosen.dst
+            tabu.add(work)
+            ev.commit(chosen)
+            trace.steps += 1
+            if chosen_value > best_value:
+                best_value = chosen_value
+                best_labels = ev.labels.copy()
+            else:
+                patience += 1
+            trace.best_history.append(best_value)
+            if patience > P:
+                break
+    trace.tabu_size = len(tabu)
+    trace.best_value = best_value
+    return partition.from_labels(best_labels, candidates[0].k), trace

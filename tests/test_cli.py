@@ -323,3 +323,35 @@ def test_optimiser_failure_names_the_exception_type(tmp_path, monkeypatch):
     assert failures == 2
     assert [(r["k"], r["status"]) for r in rows] == [("2", "failed"), ("4", "failed")]
     assert all(r["message"].startswith("ParameterError: EMST needs") for r in rows)
+
+
+def test_interrupted_run_keeps_finished_jobs_and_resumes(tmp_path, monkeypatch):
+    battery = write_battery(tmp_path / "battery")
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
+    path, cfg = make_config(tmp_path, battery, out_name="interrupted")
+    real_run_job = cli.run_job
+    calls = []
+
+    def interrupted_second_job(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_run_job(*args)
+
+    monkeypatch.setattr(cli, "run_job", interrupted_second_job)
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(RunConfig.load(str(path)))
+    kept = read_records(cfg["output_dir"])
+    assert [(r["dataset"], r["method"], r["status"]) for r in kept] == [
+        ("toy/blobs", "CalinskiHarabasz", "ok")
+    ]
+    monkeypatch.setattr(cli, "run_job", real_run_job)
+    run_benchmark(RunConfig.load(str(path)))
+    resumed = strip(read_records(cfg["output_dir"]))
+
+    whole = []
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        path, cfg = make_config(tmp_path, battery, out_name=name, jobs=jobs)
+        run_benchmark(RunConfig.load(str(path)))
+        whole.append(strip(read_records(cfg["output_dir"])))
+    assert resumed == whole[0] == whole[1]

@@ -10,7 +10,7 @@ from conftest import make_dataset, random_surjective_labels
 from cviopt import cvi, dataio, geometry
 from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
 from cviopt.errors import InvalidMoveError, ParameterError
-from cviopt.partition import Move, apply_move, enumerate_moves, from_labels
+from cviopt.partition import Move, apply_move, enumerate_moves, from_labels, iter_moves
 
 ALL_SPECS = (
     ["BallHall", "CalinskiHarabasz", "DaviesBouldin", "Silhouette", "SilhouetteW"]
@@ -69,6 +69,35 @@ def walk_matches_full_recompute(spec, rng, make=make_dataset):
             assert close(peeked, full), f"{spec}: peek {peeked} vs full {full}"
             ev.commit(m)
             assert ev.value() == peeked
+
+
+def peek_table(ev):
+    """``scan()`` by its definition: a peek of every valid move, -inf elsewhere."""
+    out = np.full((len(ev.labels), ev.k), -np.inf)
+    for m in iter_moves(ev.labels, ev.sizes, ev.k):
+        out[m.point, m.dst] = ev.peek(m)
+    return out
+
+
+SCAN_SPECS = ALL_SPECS + ["DuNN_3_Min_Min", "DuNN_3_Max_Max", "DuNN_5_Max_Const", "WCNN_10"]
+
+
+@pytest.mark.parametrize("text", SCAN_SPECS)
+def test_scan_equals_peek(text):
+    spec = parse_spec(text)
+    rng = np.random.default_rng(list(text.encode()))
+    for make in (make_dataset, lattice_dataset):
+        n, d, k = int(rng.integers(20, 40)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        ds = make(rng, n, d)
+        near_singletons = np.minimum(np.arange(n), k - 1)  # k - 1 clusters of size 1
+        for labels in (random_surjective_labels(rng, n, k), near_singletons):
+            ev = make_evaluator(spec, ds, from_labels(labels, k))
+            for step in range(21):
+                if step:
+                    moves = list(iter_moves(ev.labels, ev.sizes, ev.k))
+                    ev.commit(moves[int(rng.integers(len(moves)))])
+                # == is bit equality and holds for +-inf alike
+                assert (ev.scan() == peek_table(ev)).all(), f"{text} after {step} commits"
 
 
 def test_make_evaluator_matches_full(x4):

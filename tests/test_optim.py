@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import k_partitions, make_dataset, wcss
+from conftest import climb_by_peek, k_partitions, make_dataset, wcss
 from cviopt import cvi, dataio, optim
 from cviopt.cvi import evaluate, parse_spec
 from cviopt.errors import ContractViolationError, GenerationError, ParameterError
@@ -282,3 +282,51 @@ def test_all_neighbours_tabu_branch(x4):
     )
     assert evaluate(spec, x4, best) == pytest.approx(200.0)
     assert trace.tabu_size <= 7
+
+
+ORACLE_SPECS = [
+    "CalinskiHarabasz",
+    "BallHall",
+    "WCNN_3",
+    "DuNN_2_Min_Max",
+    "DuNN_5_Min_Const",
+    "DuNN_2_Mean_Mean",
+    "Silhouette",
+    "GDunn_d1_D1",
+]
+
+
+def assert_climb_matches_oracle(spec, ds, candidates, P):
+    trace = optim.OptimTrace()
+    best = tabu_hill_climb(spec, ds, candidates, P=P, trace=trace)
+    ref_best, ref_trace = climb_by_peek(spec, ds, candidates, P)
+    assert np.array_equal(best.labels, ref_best.labels)
+    assert trace == ref_trace
+    return trace
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_climb_matches_per_move_peek_oracle(text):
+    rng = np.random.default_rng(list(text.encode()))
+    ds = make_dataset(rng, 36, 2)
+    candidates = [random_partition(36, 3, rng) for _ in range(3)]
+    trace = assert_climb_matches_oracle(parse_spec(text), ds, candidates, P=12)
+    assert trace.steps > 0
+
+
+def test_climb_matches_oracle_until_every_neighbour_is_tabu(x4):
+    # x4 has 7 partitions into 2 clusters: the climb runs out of non-tabu
+    # neighbours long before its patience
+    trace = assert_climb_matches_oracle(
+        parse_spec("CalinskiHarabasz"), x4, [from_labels([0, 1, 0, 1], 2)], P=10_000
+    )
+    assert trace.tabu_size == trace.steps < 10_000
+
+
+def test_climb_matches_oracle_from_minus_inf_candidates():
+    # WCNN_3 rates every partition with a cluster of at most 3 points -inf
+    rng = np.random.default_rng(4)
+    ds = make_dataset(rng, 12, 2)
+    candidates = [from_labels([0] * 3 + [1] * 9, 2), from_labels([0] * 4 + [1] * 8, 2)]
+    trace = assert_climb_matches_oracle(parse_spec("WCNN_3"), ds, candidates, P=20)
+    assert trace.best_history[0] > float("-inf")
