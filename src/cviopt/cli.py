@@ -19,6 +19,7 @@ import argparse
 import csv
 import glob
 import hashlib
+import io
 import json
 import os
 import sys
@@ -261,18 +262,22 @@ def _read_records(path: str) -> list[dict]:
     if not os.path.exists(path):
         return []
     with open(path, "rt", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        text = fh.read()
+    # a row counts once its line ends: a tail cut off mid-append is dropped
+    return list(csv.DictReader(io.StringIO(text[: text.rfind("\n") + 1])))
 
 
 def _write_records(path: str, rows: list[dict]) -> None:
-    """Replace the records file atomically: a reader or an interrupted run
-    sees the old file or the new one, never a partial write."""
+    """Replace the records file, sorted, atomically and durably: a reader
+    or an interrupted run sees the old file or the new one."""
     rows = sorted(rows, key=lambda r: (r["dataset"], r["method"], str(r["k"])))
     tmp = path + ".tmp"
     with open(tmp, "wt", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -284,9 +289,10 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     """Execute every (dataset, spec) job; returns (records, failure count).
 
     Completed (dataset, method, k) triples found in an existing records
-    file are skipped, and the file is rewritten after every job, so an
-    interrupted run resumes where it stopped; the earlier skipped and
-    failed rows of a job run again are replaced by its new ones.
+    file are skipped, and each job's rows are appended to the file as the
+    job finishes, so an interrupted run resumes where it stopped; the
+    earlier skipped and failed rows of a job run again are replaced by its
+    new ones.  The file is sorted once, at the end.
     """
     datasets = discover_datasets(cfg.battery_root)
     if cfg.include:
@@ -313,19 +319,26 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     ]
     done = {(r["dataset"], r["method"], str(r["k"])) for r in all_rows if r["status"] == "ok"}
 
-    def record(rows: list[dict]) -> None:
-        all_rows.extend(rows)
-        _write_records(records_path, all_rows)
+    _write_records(records_path, all_rows)
+    with open(records_path, "at", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
 
-    if cfg.jobs <= 1:
-        for d, s in jobs:
-            record(run_job(cfg, d, s, done))
-    else:
-        cfg_dict = asdict(cfg)
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_job_entry, cfg_dict, d, s, done) for d, s in jobs]
-            for fut in as_completed(futures):
-                record(fut.result())
+        def record(rows: list[dict]) -> None:
+            all_rows.extend(rows)
+            writer.writerows(rows)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+        if cfg.jobs <= 1:
+            for d, s in jobs:
+                record(run_job(cfg, d, s, done))
+        else:
+            cfg_dict = asdict(cfg)
+            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+                futures = [pool.submit(_job_entry, cfg_dict, d, s, done) for d, s in jobs]
+                for fut in as_completed(futures):
+                    record(fut.result())
+    _write_records(records_path, all_rows)
 
     failures = sum(1 for r in all_rows if r["status"] == "failed")
     return all_rows, failures

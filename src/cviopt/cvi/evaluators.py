@@ -384,32 +384,24 @@ class _EdgeSplit:
             return float(self._w[max(cand)])
         return owa.aggregate(spec, self._w[cand])
 
-    def scan_side(self, kind: str, side: int, labels: np.ndarray, k: int):
-        """``aggregate`` of a Min or Max side after every move (p, j) at
-        once, on the premise that the move keeps the side's extreme edge:
-        the weights, (n, k) for the within side and (n, 1) for the cross
-        side, NaN where the side ends empty; and the moves (p, j) that
-        remove that edge, which the caller recomputes."""
-        # moving p to j turns p's edges to its own cluster cross and its
-        # edges to j within, so each side gains the extreme rank of the
-        # edges from p to one cluster
+    def scan_cross(self, kind: str, labels: np.ndarray):
+        """``aggregate`` of a Min or Max cross side after every move of each
+        point, as (n,) weights, NaN where the side ends empty, on the
+        premise that the move keeps the side's extreme edge; and the two
+        moves (p, j) that remove that edge, which the caller recomputes."""
+        # moving p out of its cluster turns p's edges within it cross,
+        # whatever the target, so the side gains their extreme rank
         pick = np.minimum if kind == "Min" else np.maximum
-        added = np.full(len(labels) * k, len(self._w) if kind == "Min" else -1)
-        pick.at(added, self._ends * k + labels[self._opps], self._ranks)
-        added = added.reshape(-1, k)
-        if side == 0:
-            added = added[np.arange(len(labels)), labels][:, None]
+        own = labels[self._ends] == labels[self._opps]
+        added = np.full(len(labels), len(self._w) if kind == "Min" else -1)
+        pick.at(added, self._ends[own], self._ranks[own])
         w = np.append(self._w, np.nan)  # both "no edge" ranks read NaN
-        ranks = self._sides[side]
+        ranks = self._sides[0]
         if not len(ranks):
-            return w[added], set()
+            return w[added], []
         r = ranks[0] if kind == "Min" else ranks[-1]
         u, v = int(self._u[r]), int(self._v[r])
-        if side == 0:
-            redo = {(u, int(labels[v])), (v, int(labels[u]))}
-        else:
-            redo = {(p, j) for p in (u, v) for j in range(k)}
-        return w[pick(added, r)], redo
+        return w[pick(added, r)], [(u, int(labels[v])), (v, int(labels[u]))]
 
 
 class _ClusterStatsEvaluator(CVIEvaluator):
@@ -646,24 +638,17 @@ class DuNNEvaluator(CVIEvaluator):
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
     def _scan(self) -> np.ndarray:
-        kind_s, kind_c = self.spec.owa_s.kind, self.spec.owa_c.kind
-        if not {kind_s, kind_c} <= {"Min", "Max", "Const"}:
+        # vectorised for a Min or Max separation over a Const compactness,
+        # whose value is the separation; the others run the _peek loop
+        kind = self.spec.owa_s.kind
+        if kind not in ("Min", "Max") or not self.spec.owa_c.is_const:
             return super()._scan()
-        lab, k = self._labels, self._k
-        num, redo = self._split.scan_side(kind_s, 0, lab, k)
-        den = 1.0
-        if kind_c != "Const":
-            den, redo_c = self._split.scan_side(kind_c, 1, lab, k)
-            redo |= redo_c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den <= 0.0, _INF, num / den)
-        # _value_for's order: no cross edges first, then no within edges
-        out = np.where(np.isnan(num), _INF, np.where(np.isnan(den), -_INF, out))
-        out = np.broadcast_to(out, (self._n, k)).copy()
+        lab = self._labels
+        num, redo = self._split.scan_cross(kind, lab)
+        # _value_for: no cross edges left is +inf
+        out = np.repeat(np.where(np.isnan(num), _INF, num)[:, None], self._k, axis=1)
         for p, j in redo:
-            a = int(lab[p])
-            if j != a and self._sizes[a] > 1:
-                out[p, j] = self._peek(Move(p, a, j))
+            out[p, j] = self._peek(Move(p, int(lab[p]), j))
         return out
 
 

@@ -355,3 +355,19 @@ def test_interrupted_run_keeps_finished_jobs_and_resumes(tmp_path, monkeypatch):
         run_benchmark(RunConfig.load(str(path)))
         whole.append(strip(read_records(cfg["output_dir"])))
     assert resumed == whole[0] == whole[1]
+
+
+def test_resume_reruns_a_row_cut_off_mid_write(tmp_path):
+    battery = write_battery(tmp_path / "battery")
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
+    path, cfg = make_config(tmp_path, battery)
+    run_benchmark(RunConfig.load(str(path)))
+    whole = strip(read_records(cfg["output_dir"]))
+    assert whole[-1]["status"] == "ok"
+    records = os.path.join(cfg["output_dir"], "records.csv")
+    with open(records, newline="") as fh:
+        text = fh.read()
+    with open(records, "w", newline="") as fh:
+        fh.write(text[:-4])  # the last row loses its line end and a field's tail
+    run_benchmark(RunConfig.load(str(path)))
+    assert strip(read_records(cfg["output_dir"])) == whole
