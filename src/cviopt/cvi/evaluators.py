@@ -239,15 +239,7 @@ class SilhouetteEvaluator(CVIEvaluator):
 
     def _init_state(self) -> None:
         self._dp = DistanceProvider(self.ds)
-        n, k = self._n, self._k
-        self._dsum = np.zeros((n, k))
-        if self._dp.dense is not None:
-            for j in range(k):
-                self._dsum[:, j] = self._dp.dense[:, self._labels == j].sum(axis=1)
-        else:
-            for i in range(n):
-                row = self._dp.row(i)
-                self._dsum[i] = np.bincount(self._labels, weights=row, minlength=k)
+        self._dsum = self._dp.cluster_sums(self._labels, self._k)
         self._row_cache: tuple[int, np.ndarray] | None = None
 
     def _row(self, p: int) -> np.ndarray:

@@ -69,19 +69,8 @@ def davies_bouldin(ds: Dataset, p: Partition) -> float:
 
 def _silhouette_scores(ds: Dataset, p: Partition) -> np.ndarray:
     """Per-point silhouette widths with the singleton convention (score 0)."""
-    n, k = ds.n, p.k
-    labels = p.labels
-    dp = DistanceProvider(ds)
-    dsum = np.empty((n, k))
-    if dp.dense is not None:
-        for j in range(k):
-            dsum[:, j] = dp.dense[:, labels == j].sum(axis=1)
-    else:
-        members = [np.flatnonzero(labels == j) for j in range(k)]
-        for i in range(n):
-            row = dp.row(i)
-            for j in range(k):
-                dsum[i, j] = row[members[j]].sum()
+    n, labels = ds.n, p.labels
+    dsum = DistanceProvider(ds).cluster_sums(labels, p.k)
     sizes = p.sizes
     ar = np.arange(n)
     mean_to = dsum / sizes[None, :]

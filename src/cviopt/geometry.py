@@ -2,7 +2,10 @@
 
 Caches are keyed by Dataset identity (weak references), so a dataset's
 distance matrix and minimum spanning tree are computed once and reused by
-every index evaluator and optimization run over that dataset.
+every index evaluator and optimization run over that dataset.  Every
+consumer reads distances through :class:`DistanceProvider`; only this
+module decides whether the full matrix is materialized (n <= DENSE_LIMIT)
+or each row is computed on demand.
 """
 
 from __future__ import annotations
@@ -12,15 +15,14 @@ import threading
 import weakref
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from .dataio import Dataset
-from .errors import ParameterError
 
 #: Largest n for which the full n x n distance matrix is materialized.
 DENSE_LIMIT = int(os.environ.get("CVIOPT_DENSE_LIMIT", "4096"))
+#: Most distances in one block of rows read by DistanceProvider.cluster_sums.
+_BLOCK_CELLS = 1 << 16
 
 _lock = threading.Lock()
 _pairwise_cache: "weakref.WeakKeyDictionary[Dataset, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -48,14 +50,28 @@ class DistanceProvider:
         self._ds = ds
         self._mat = pairwise(ds)
 
-    @property
-    def dense(self) -> np.ndarray | None:
-        return self._mat
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """Distances from points lo..hi-1 to every point."""
+        if self._mat is not None:
+            return self._mat[lo:hi]
+        return cdist(self._ds.points[lo:hi], self._ds.points)
 
     def row(self, i: int) -> np.ndarray:
-        if self._mat is not None:
-            return self._mat[i]
-        return cdist(self._ds.points[i : i + 1], self._ds.points)[0]
+        return self._rows(i, i + 1)[0]
+
+    def cluster_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
+        """(n, k) sums of each point's distances to the members of every
+        cluster, added in point order.  Rows are read in blocks of at most
+        ``_BLOCK_CELLS`` distances, so no n x n temporary is made."""
+        n = self._ds.n
+        step = max(1, _BLOCK_CELLS // n)
+        keys = (np.arange(step)[:, None] * k + labels).ravel()  # (row, cluster) cells
+        out = np.empty((n, k))
+        for lo in range(0, n, step):
+            block = self._rows(lo, lo + step)
+            m = len(block)
+            out[lo : lo + m] = np.bincount(keys[: m * n], block.ravel(), m * k).reshape(m, k)
+        return out
 
     def sub(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
         """Distance block between two index sets."""
@@ -67,28 +83,29 @@ class DistanceProvider:
 def emst(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Euclidean minimum spanning tree as (u, v, weight) edge arrays.
 
-    Needs the dense distance matrix; raises for datasets above DENSE_LIMIT.
+    Prim's algorithm over distance rows, for every n: O(n^2 d) time and
+    O(n) memory besides the rows.  The n - 1 edges have u < v, are sorted
+    by (u, v), and weigh the row entry they were chosen by, so duplicate
+    points join by zero-weight edges.  Ties go to the lower point index.
     """
     with _lock:
         cached = _emst_cache.get(ds)
     if cached is not None:
         return cached
-    mat = pairwise(ds)
-    if mat is None:
-        raise ParameterError(
-            f"EMST needs the dense distance matrix (n={ds.n} > {DENSE_LIMIT}); "
-            "raise CVIOPT_DENSE_LIMIT to allow it"
-        )
-    graph = mat
-    off_diag_min = np.min(mat + np.diag(np.full(ds.n, np.inf)))
-    if off_diag_min <= 0.0:
-        # csr drops explicit zeros; shifting every edge by a constant keeps
-        # the argmin spanning tree while making duplicate-point edges visible
-        graph = mat + 1.0 - np.eye(ds.n)
-    tree = minimum_spanning_tree(csr_matrix(graph)).tocoo()
-    u = np.minimum(tree.row, tree.col).astype(np.int64)
-    v = np.maximum(tree.row, tree.col).astype(np.int64)
-    w = mat[u, v].astype(np.float64)
+    dp, n = DistanceProvider(ds), ds.n
+    rest = np.arange(1, n)  # points outside the tree, in index order
+    near = dp.row(0)[1:].copy()  # their distance to the tree
+    via = np.zeros(n - 1, dtype=np.int64)  # the tree point at that distance
+    u, v, w = np.empty(n - 1, dtype=np.int64), np.empty(n - 1, dtype=np.int64), np.empty(n - 1)
+    for t in range(n - 1):
+        i = int(np.argmin(near))
+        p = int(rest[i])
+        u[t], v[t], w[t] = min(via[i], p), max(via[i], p), near[i]
+        rest, near, via = np.delete(rest, i), np.delete(near, i), np.delete(via, i)
+        row = dp.row(p)[rest]
+        closer = row < near
+        near[closer] = row[closer]
+        via[closer] = p
     order = np.lexsort((v, u))
     result = (u[order], v[order], w[order])
     for arr in result:

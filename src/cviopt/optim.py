@@ -152,14 +152,15 @@ def _climb(
     spec: CVISpec,
     ds: Dataset,
     candidates: Sequence[Partition],
+    values: Sequence[float],
     P: int,
     trace: OptimTrace,
 ) -> Partition:
     """The hill-climbing scheme itself; candidates must be pre-sorted by
-    decreasing objective value."""
+    decreasing objective value, given in ``values``."""
     tabu = TabuList()
     best_labels = candidates[0].labels.copy()
-    best_value = evaluate(spec, ds, candidates[0])
+    best_value = values[0]
     trace.best_history.append(best_value)
 
     for cand in candidates:
@@ -226,11 +227,10 @@ def tabu_hill_climb(
         raise ContractViolationError("candidates do not match the dataset size")
     values = [evaluate(spec, ds, c) for c in candidates]
     order = sorted(range(len(candidates)), key=lambda i: -values[i])
-    ordered = [candidates[i] for i in order]
     if trace is None:
         trace = OptimTrace()
     trace.candidate_count = len(candidates)
-    return _climb(spec, ds, ordered, P, trace)
+    return _climb(spec, ds, [candidates[i] for i in order], [values[i] for i in order], P, trace)
 
 
 def resolve_noise(ds: Dataset, ext_labels: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from cviopt import cli
 from cviopt.cli import RunConfig, discover_datasets, meta_cluster, run_benchmark, summarize
-from cviopt.errors import ConfigError
+from cviopt.errors import ConfigError, ParameterError
 
 
 def write_battery(root):
@@ -316,13 +316,25 @@ def test_rerun_replaces_earlier_failed_and_skipped_rows(tmp_path, capsys):
 def test_optimiser_failure_names_the_exception_type(tmp_path, monkeypatch):
     from cviopt import geometry
 
-    monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)  # GDunn d1 needs the dense EMST
     battery = write_battery(tmp_path / "battery")
     path, _ = make_config(tmp_path, battery, specs=["GDunn_d1_D1"], include=["toy/pairs"])
+    # above the dense limit the EMST reads on-demand rows: d1 runs
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    assert failures == 0
+    assert [(r["k"], r["status"]) for r in rows] == [("2", "ok"), ("4", "ok")]
+
+    def fail(*args, **kwargs):
+        raise ParameterError("no climb today")
+
+    monkeypatch.setattr(cli.optim, "optimise_dataset", fail)
+    path, _ = make_config(
+        tmp_path, battery, out_name="failing", specs=["GDunn_d1_D1"], include=["toy/pairs"]
+    )
     rows, failures = run_benchmark(RunConfig.load(str(path)))
     assert failures == 2
     assert [(r["k"], r["status"]) for r in rows] == [("2", "failed"), ("4", "failed")]
-    assert all(r["message"].startswith("ParameterError: EMST needs") for r in rows)
+    assert all(r["message"] == "ParameterError: no climb today" for r in rows)
 
 
 def test_interrupted_run_keeps_finished_jobs_and_resumes(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from conftest import make_dataset, random_surjective_labels
 from cviopt import cvi, dataio, geometry
 from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
-from cviopt.errors import InvalidMoveError, ParameterError
+from cviopt.errors import InvalidMoveError
 from cviopt.partition import Move, apply_move, enumerate_moves, from_labels, iter_moves
 
 ALL_SPECS = (
@@ -152,7 +153,7 @@ def test_invalid_moves_rejected(x4):
 
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_trajectory_matches_full_recompute(text):
-    walk_matches_full_recompute(parse_spec(text), np.random.default_rng(abs(hash(text)) % 2**32))
+    walk_matches_full_recompute(parse_spec(text), np.random.default_rng(zlib.crc32(text.encode())))
 
 
 TIED_SPECS = [
@@ -190,7 +191,7 @@ assert ev.value() == v
 
 
 ON_DEMAND_SPECS = ["Silhouette", "SilhouetteW", "DaviesBouldin"] + [
-    f"GDunn_d{d}_D{D}" for d in (2, 3, 4, 5) for D in (1, 2, 3)
+    f"GDunn_d{d}_D{D}" for d in (1, 2, 3, 4, 5) for D in (1, 2, 3)
 ]
 
 
@@ -201,14 +202,36 @@ def test_on_demand_distances_match_full_recompute(text, monkeypatch):
     walk_matches_full_recompute(parse_spec(text), np.random.default_rng(len(text)))
 
 
+def duplicate_points(rng, n, d):
+    """Raw points drawn from a few grid sites: many exact duplicates, and
+    points 0 and 1 always coincide."""
+    sites = rng.integers(0, 4, size=(max(2, n // 4), d)).astype(float)
+    pick = rng.integers(0, len(sites), size=n)
+    pick[1] = pick[0]
+    return dataio.Dataset(sites[pick])
+
+
+@pytest.mark.parametrize("limit", (10**6, 8), ids=("dense", "on_demand"))
 @pytest.mark.parametrize("D", (1, 2, 3))
-def test_gdunn_d1_needs_dense_distances(D, monkeypatch):
-    monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)
+def test_gdunn_d1_on_duplicate_points_matches_full_recompute(D, limit, monkeypatch):
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
+    spec = parse_spec(f"GDunn_d1_D{D}")
     rng = np.random.default_rng(D)
-    ds = make_dataset(rng, 20, 2)
-    p = from_labels(random_surjective_labels(rng, 20, 2), 2)
-    with pytest.raises(ParameterError):
-        make_evaluator(parse_spec(f"GDunn_d1_D{D}"), ds, p)
+    for _ in range(4):
+        n, k = int(rng.integers(12, 40)), int(rng.integers(2, 5))
+        ds = duplicate_points(rng, n, int(rng.integers(1, 3)))
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)  # the zero-distance pair 0, 1 starts split
+        ev = make_evaluator(spec, ds, from_labels(labels, k))
+        assert close(ev.value(), cvi.gdunn(ds, from_labels(labels, k), 1, D)), "init"
+        for _ in range(30):
+            moves = list(iter_moves(ev.labels, ev.sizes, ev.k))
+            m = moves[int(rng.integers(len(moves)))]
+            peeked = ev.peek(m)
+            ev.commit(m)
+            assert ev.value() == peeked
+            full = cvi.gdunn(ds, from_labels(ev.labels, k), 1, D)
+            assert close(peeked, full), f"{spec}: peek {peeked} vs full {full}"
 
 
 def test_family_table_covers_every_family():
