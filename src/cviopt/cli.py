@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 
@@ -154,6 +155,14 @@ def _nn_component_minimum(ds: dataio.Dataset, m: int) -> int:
     return int(np.bincount(comps).min())
 
 
+def _failure(exc: Exception) -> str:
+    """A failed row's message, ``"<Type>: <message>"``.  An exception the
+    program does not raise itself also prints its traceback to stderr."""
+    if not isinstance(exc, (CviOptError, OSError)):
+        traceback.print_exception(exc, file=sys.stderr)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[dict]:
     """All records for one (dataset, spec) pair; failures become rows."""
     rows: list[dict] = []
@@ -170,8 +179,8 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
         raw = dataio.load_dataset(data_path)
         ds = dataio.preprocess(raw, derived_seed(cfg.seed, dataset_id, "preprocess"))
         refs = load_reference_set(cfg.battery_root, dataset_id, ds.n)
-    except (CviOptError, OSError) as exc:
-        return [row(k="", status="failed", message=f"{type(exc).__name__}: {exc}")]
+    except Exception as exc:
+        return [row(k="", status="failed", message=_failure(exc))]
 
     if refs is None:
         return [row(k="", status="skipped", message="no reference labels")]
@@ -229,8 +238,8 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
                 vantage_v=cfg.vantage_v,
                 kmeans_restarts=cfg.kmeans_restarts,
             )
-        except CviOptError as exc:
-            rows.append(row(k=k, status="failed", message=f"{type(exc).__name__}: {exc}"))
+        except Exception as exc:
+            rows.append(row(k=k, status="failed", message=_failure(exc)))
             continue
         elapsed = time.perf_counter() - t0
         out_dir = os.path.join(cfg.output_dir, dataset_id)

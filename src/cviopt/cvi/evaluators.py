@@ -9,6 +9,11 @@ definitional implementation in :mod:`cviopt.cvi.indices` to 1e-9 relative.
 Indices without a cheap exact delta fall back to bounded partial
 recomputation of the affected clusters.
 
+``scan`` replays the peeks' arithmetic for all moves at once in BallHall,
+CalinskiHarabasz, WCNN, DuNN with a Min or Max separation over a Const
+compactness, and, in row blocks of at most ``geometry._BLOCK_CELLS`` cells,
+Silhouette, SilhouetteW and DaviesBouldin; every other index peeks each move.
+
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
 Dataset, distance matrix and NN graph are immutable and shared.
@@ -20,7 +25,7 @@ import numpy as np
 
 from .. import owa
 from ..dataio import Dataset
-from ..geometry import DistanceProvider, emst
+from ..geometry import DistanceProvider, emst, row_blocks
 from ..nngraph import edges_for, knn_for
 from ..partition import Move, Partition, check_move, from_labels, iter_moves
 from . import indices
@@ -291,20 +296,100 @@ class SilhouetteEvaluator(CVIEvaluator):
         self._dsum[:, m.src] -= row
         self._dsum[:, m.dst] += row
 
+    def _scan(self) -> np.ndarray:
+        # _score's terms for a row block of moving points p, all from one
+        # source cluster a, one target j at a time.  A move p: a -> j
+        # changes only columns a and j of dsum, by -row_p and +row_p; every
+        # other point q stays in its cluster and p joins j.  The nearest
+        # mean of q is then the least of the two changed means and rest_q,
+        # its least mean over the clusters other than a, j and its own.
+        n, k, lab, sizes = self._n, self._k, self._labels, self._sizes
+        ar = np.arange(n)
+        dsum_t = self._dsum.T.copy()
+        out = np.full((n, k), -_INF)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean_to = self._dsum / sizes[None, :]
+            intra = dsum_t[lab, ar] / (sizes[lab] - 1)  # of q outside a and j
+        mean_to[ar, lab] = np.inf
+        for a in np.flatnonzero(sizes >= 2):
+            in_a = lab == a
+            rest = {}
+            for j in range(k):
+                if j != a:
+                    others = mean_to.copy()
+                    others[:, [a, j]] = np.inf
+                    rest[j] = others.min(axis=1)
+            for block in row_blocks(np.flatnonzero(in_a), n):
+                rr = np.arange(len(block))
+                dist = self._dp.rows(block)
+                sum_a = dsum_t[a] - dist
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mean_a = sum_a / (sizes[a] - 1)
+                    intra_a = np.where(in_a, sum_a / (sizes[a] - 2), intra)
+                near_a = np.where(in_a, np.inf, mean_a)
+                near_a[rr, block] = mean_a[rr, block]
+                for j in rest:
+                    cells = self._scan_cells(a, j, block, dsum_t[j] + dist, near_a, intra_a, rest[j])
+                    out[block, j] = cells
+        return out
+
+    def _scan_cells(self, a, j, block, sum_j, near_a, intra_a, rest) -> np.ndarray:
+        """Values of moving each point of ``block``, all in ``a``, to ``j``,
+        given the (rows, n) post-move sums of distances to j, ``sum_j``."""
+        lab, sizes = self._labels, self._sizes
+        rr = np.arange(len(block))
+        in_j = lab == j
+        near = np.where(in_j, np.inf, sum_j / (sizes[j] + 1))
+        near[rr, block] = np.inf
+        near = np.minimum(np.minimum(near_a, near), rest)
+        intra = np.where(in_j, sum_j / sizes[j], intra_a)
+        intra[rr, block] = sum_j[rr, block] / sizes[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = np.maximum(intra, near)
+            s = np.where(den > 0.0, (near - intra) / den, 0.0)
+        sizes2 = sizes.copy()
+        sizes2[a] -= 1
+        sizes2[j] += 1
+        n_own = sizes2[lab]
+        s_p = s[rr, block]  # p's own term: p sits in j, never a singleton
+        s[:, n_own == 1] = 0.0
+        s[rr, block] = s_p
+        if not self.weighted:
+            return s.mean(axis=1)
+        effective = self._k - int((sizes2 == 1).sum())
+        if effective < 1:
+            return -_INF
+        s /= n_own
+        s[rr, block] = s_p / sizes2[j]
+        return s.sum(axis=1) / effective
+
 
 class SilhouetteWEvaluator(SilhouetteEvaluator):
     weighted = True
 
 
+def _dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the points ``u`` and ``v``, broadcast
+    over their leading axes.  The squares are added coordinate by
+    coordinate, whatever the shapes, so a batched table reproduces the
+    distances of one point at any d (``np.linalg.norm`` switches to pairwise
+    summation from d = 8), and no (..., d) difference array is made."""
+    acc = 0.0
+    for c in range(u.shape[-1]):
+        diff = u[..., c] - v[..., c]
+        acc = acc + diff * diff
+    return np.sqrt(acc)
+
+
 def _sum_to_centroid(pts: np.ndarray, t_row: np.ndarray) -> float:
     """Sum of distances from ``pts`` to their centroid ``t_row / len(pts)``."""
-    return float(np.linalg.norm(pts - t_row / pts.shape[0], axis=1).sum())
+    return float(_dist(pts, t_row / pts.shape[0]).sum())
 
 
 def _centroid_gaps(t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """k x k distances between the centroids ``t / sizes``."""
-    cents = t / sizes[:, None]
-    return np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
+    """(..., k, k) distances between the centroids ``t / sizes``."""
+    cents = t / sizes[..., None]
+    return _dist(cents[..., :, None, :], cents[..., None, :, :])
 
 
 class _EdgeSplit:
@@ -547,16 +632,58 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         self._refresh((m.src, m.dst))
 
 
+def _davies_bouldin(sdc: np.ndarray, t: np.ndarray, sizes: np.ndarray):
+    """Davies-Bouldin index (negated) of per-cluster statistics, broadcast
+    over leading axes: ``sdc`` and ``sizes`` (..., k), ``t`` (..., k, d)."""
+    k = sizes.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(sizes > 1, sdc / sizes, np.inf)
+        gaps = _centroid_gaps(t, sizes)
+        r = np.where(gaps > 0.0, (s[..., :, None] + s[..., None, :]) / gaps, np.inf)
+    r[..., np.arange(k), np.arange(k)] = -np.inf
+    return -r.max(axis=-1).mean(axis=-1)
+
+
 class DaviesBouldinEvaluator(_ClusterStatsEvaluator):
     needs = frozenset({"t", "sdc"})
 
     def _value_of(self, st: dict, sizes: np.ndarray) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(sizes > 1, st["sdc"] / sizes, np.inf)
-            gaps = _centroid_gaps(st["t"], sizes)
-            r = np.where(gaps > 0.0, np.add.outer(s, s) / gaps, np.inf)
-        np.fill_diagonal(r, -np.inf)
-        return float(-r.max(axis=1).mean())
+        return float(_davies_bouldin(st["sdc"], st["t"], sizes))
+
+    def _scan(self) -> np.ndarray:
+        # _peek's statistics for every move at once: the sdc of a \ p for
+        # each p once per step, the sdc of j + p per target j, then the
+        # k x k ratios over a row block of moves
+        n, k, lab, pts, mem = self._n, self._k, self._labels, self._pts, self._mem
+        t, sdc = self._st["t"], self._st["sdc"]
+        sizes = self._sizes.astype(np.float64)
+        out = np.full((n, k), -_INF)
+        sdc_src = np.empty(n)  # sdc of a less p, per moving point p
+        for a in np.flatnonzero(self._sizes >= 2):
+            x_a, m = pts[mem[a]], len(mem[a])
+            for pos in row_blocks(np.arange(m), m):
+                # distances of a's members to the centroids of a less each p,
+                # without p's own column
+                dist = _dist(x_a, ((t[a] - x_a[pos]) / (m - 1))[:, None])
+                keep = np.ones(dist.shape, dtype=bool)
+                keep[np.arange(len(pos)), pos] = False
+                sdc_src[mem[a][pos]] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
+        movable = np.flatnonzero(self._sizes[lab] >= 2)
+        for j in range(k):
+            x_j, m = pts[mem[j]], len(mem[j])
+            for p in row_blocks(movable[lab[movable] != j], max(m + 1, k * k)):
+                rr, x, a = np.arange(len(p)), pts[p], lab[p]
+                cents = ((t[j] + x) / (m + 1))[:, None]
+                dist = np.concatenate([_dist(x_j, cents), _dist(x[:, None], cents)], axis=1)
+                sizes2, t2, sdc2 = (np.repeat(v[None], len(p), axis=0) for v in (sizes, t, sdc))
+                sizes2[rr, a] -= 1
+                sizes2[:, j] += 1
+                t2[rr, a] -= x
+                t2[:, j] += x
+                sdc2[rr, a] = sdc_src[p]
+                sdc2[:, j] = dist.sum(axis=1)
+                out[p, j] = _davies_bouldin(sdc2, t2, sizes2)
+        return out
 
 
 def _pooled_spread(st: dict, sizes: np.ndarray) -> np.ndarray:

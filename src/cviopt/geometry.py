@@ -21,8 +21,9 @@ from .dataio import Dataset
 
 #: Largest n for which the full n x n distance matrix is materialized.
 DENSE_LIMIT = int(os.environ.get("CVIOPT_DENSE_LIMIT", "4096"))
-#: Most distances in one block of rows read by DistanceProvider.cluster_sums.
-_BLOCK_CELLS = 1 << 16
+#: Most cells in one block of rows: distances read at once, or a kernel's
+#: temporaries.
+_BLOCK_CELLS = 1 << 14
 
 _lock = threading.Lock()
 _pairwise_cache: "weakref.WeakKeyDictionary[Dataset, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -50,14 +51,14 @@ class DistanceProvider:
         self._ds = ds
         self._mat = pairwise(ds)
 
-    def _rows(self, lo: int, hi: int) -> np.ndarray:
-        """Distances from points lo..hi-1 to every point."""
+    def rows(self, idx) -> np.ndarray:
+        """Distances from points ``idx`` (a slice or an index array) to every point."""
         if self._mat is not None:
-            return self._mat[lo:hi]
-        return cdist(self._ds.points[lo:hi], self._ds.points)
+            return self._mat[idx]
+        return cdist(self._ds.points[idx], self._ds.points)
 
     def row(self, i: int) -> np.ndarray:
-        return self._rows(i, i + 1)[0]
+        return self.rows(slice(i, i + 1))[0]
 
     def cluster_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
         """(n, k) sums of each point's distances to the members of every
@@ -68,7 +69,7 @@ class DistanceProvider:
         keys = (np.arange(step)[:, None] * k + labels).ravel()  # (row, cluster) cells
         out = np.empty((n, k))
         for lo in range(0, n, step):
-            block = self._rows(lo, lo + step)
+            block = self.rows(slice(lo, lo + step))
             m = len(block)
             out[lo : lo + m] = np.bincount(keys[: m * n], block.ravel(), m * k).reshape(m, k)
         return out
@@ -78,6 +79,13 @@ class DistanceProvider:
         if self._mat is not None:
             return self._mat[np.ix_(idx_a, idx_b)]
         return cdist(self._ds.points[idx_a], self._ds.points[idx_b])
+
+
+def row_blocks(idx: np.ndarray, width: int) -> list[np.ndarray]:
+    """``idx`` cut into consecutive pieces whose rows of ``width`` cells
+    hold at most ``_BLOCK_CELLS`` cells together."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    return [idx[lo : lo + step] for lo in range(0, len(idx), step)]
 
 
 def emst(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from scipy.spatial.distance import cdist
 
 from .dataio import Dataset
 from .errors import ParameterError
+from .geometry import row_blocks
 from .partition import relabel_first_occurrence
 
 
@@ -50,8 +51,11 @@ class EdgeList:
 def build_knn(ds: Dataset, M: int) -> NNGraph:
     """Exact M nearest neighbours per point under Euclidean distance.
 
-    Brute force in chunks; O(n^2 d) but exact, which is what definitions
-    (rather than estimates) of the NN-based indices require.
+    Brute force in row blocks; O(n^2 d) but exact, which is what definitions
+    (rather than estimates) of the NN-based indices require.  No row is
+    fully sorted: every point at or under a row's M-th smallest distance
+    is a candidate (more than M only on ties), and the candidates are
+    ordered by (distance, point index), so ties go to the lower index.
     """
     n = ds.n
     if not 1 <= M <= n - 1:
@@ -59,15 +63,19 @@ def build_knn(ds: Dataset, M: int) -> NNGraph:
     pts = ds.points
     nbrs = np.empty((n, M), dtype=np.int64)
     dists = np.empty((n, M), dtype=np.float64)
-    chunk = max(1, int(4_000_000 // max(n, 1)))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        block = cdist(pts[s:e], pts)
-        block[np.arange(e - s), np.arange(s, e)] = np.inf  # exclude self
-        # stable sort on distance == ties broken by lower column index
-        order = np.argsort(block, axis=1, kind="stable")[:, :M]
-        nbrs[s:e] = order
-        dists[s:e] = np.take_along_axis(block, order, axis=1)
+    for points in row_blocks(np.arange(n), n):
+        block = cdist(pts[points], pts)
+        block[np.arange(len(points)), points] = np.inf  # exclude self
+        kth = np.partition(block, M - 1, axis=1)[:, M - 1 : M]
+        rows, cols = np.nonzero(block <= kth)
+        near = block[rows, cols]
+        order = np.lexsort((cols, near, rows))
+        rows, cols, near = rows[order], cols[order], near[order]
+        # rank of each candidate within its row; keep the first M
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        keep = rank < M
+        nbrs[points] = cols[keep].reshape(len(points), M)
+        dists[points] = near[keep].reshape(len(points), M)
     nbrs.setflags(write=False)
     dists.setflags(write=False)
     return NNGraph(M=M, neighbours=nbrs, distances=dists)

@@ -21,8 +21,9 @@ class Move:
 class Partition:
     """A surjective assignment of n points to k >= 2 nonempty clusters.
 
-    Value semantics: instances are immutable; :func:`apply_move` returns a
-    new Partition.  Labels are 0-based and contiguous.
+    Value semantics: instances are immutable; a move makes a new
+    Partition (:func:`from_labels` of the moved labels).  Labels are
+    0-based and contiguous.
     """
 
     __slots__ = ("labels", "k", "sizes", "n")
@@ -76,19 +77,6 @@ def canonical_key(labels: np.ndarray) -> bytes:
     return relabel_first_occurrence(labels).astype(np.int32).tobytes()
 
 
-def canonicalize(p: Partition) -> Partition:
-    """Renumber clusters by order of first occurrence in the label vector.
-
-    Partitions that differ only by a permutation of cluster ids map to the
-    same canonical form; idempotent.
-    """
-    lab = relabel_first_occurrence(p.labels)
-    lab.setflags(write=False)
-    sizes = np.bincount(lab, minlength=p.k)
-    sizes.setflags(write=False)
-    return Partition(lab, p.k, sizes)
-
-
 def iter_moves(labels: np.ndarray, sizes: np.ndarray, k: int):
     """Yield valid relocations in ascending (point, target cluster) order."""
     n = labels.shape[0]
@@ -99,15 +87,6 @@ def iter_moves(labels: np.ndarray, sizes: np.ndarray, k: int):
         for dst in range(k):
             if dst != src:
                 yield Move(i, src, dst)
-
-
-def enumerate_moves(p: Partition) -> list[Move]:
-    """All single-point relocations that keep the partition surjective.
-
-    Ordered ascending by (point, target cluster); this order is the
-    documented tie-breaking order for the optimizer's argmax.
-    """
-    return list(iter_moves(p.labels, p.sizes, p.k))
 
 
 def check_move(p_labels: np.ndarray, sizes: np.ndarray, k: int, m: Move) -> None:
@@ -123,19 +102,6 @@ def check_move(p_labels: np.ndarray, sizes: np.ndarray, k: int, m: Move) -> None
         )
     if sizes[m.src] < 2:
         raise InvalidMoveError(f"moving point {m.point} would empty cluster {m.src}")
-
-
-def apply_move(p: Partition, m: Move) -> Partition:
-    """Return the partition with ``m`` applied; the input is unchanged."""
-    check_move(p.labels, p.sizes, p.k, m)
-    lab = p.labels.copy()
-    lab[m.point] = m.dst
-    sizes = p.sizes.copy()
-    sizes[m.src] -= 1
-    sizes[m.dst] += 1
-    lab.setflags(write=False)
-    sizes.setflags(write=False)
-    return Partition(lab, p.k, sizes)
 
 
 def cluster_size_gini(p: Partition) -> float:

@@ -36,6 +36,33 @@ def random_surjective_labels(rng: np.random.Generator, n: int, k: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# partitions as values: the moves the evaluators make in place, made on copies
+
+
+def canonicalize(p: partition.Partition) -> partition.Partition:
+    """Renumber clusters by order of first occurrence in the label vector.
+
+    Partitions that differ only by a permutation of cluster ids map to the
+    same canonical form; idempotent.
+    """
+    return partition.from_labels(partition.relabel_first_occurrence(p.labels), p.k)
+
+
+def enumerate_moves(p: partition.Partition) -> list[partition.Move]:
+    """All single-point relocations that keep the partition surjective, in
+    ascending (point, target cluster) order: the optimizer's tie order."""
+    return list(partition.iter_moves(p.labels, p.sizes, p.k))
+
+
+def apply_move(p: partition.Partition, m: partition.Move) -> partition.Partition:
+    """The partition with ``m`` applied; the input is unchanged."""
+    partition.check_move(p.labels, p.sizes, p.k, m)
+    lab = p.labels.copy()
+    lab[m.point] = m.dst
+    return partition.from_labels(lab, p.k)
+
+
+# ---------------------------------------------------------------------------
 # oracles
 
 

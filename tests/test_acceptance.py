@@ -14,12 +14,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import k_partitions, random_surjective_labels, set_partitions, wcss
+from conftest import (
+    apply_move,
+    enumerate_moves,
+    k_partitions,
+    random_surjective_labels,
+    set_partitions,
+    wcss,
+)
 from cviopt import cli, cvi, dataio, optim
 from cviopt.cvi import evaluate, make_evaluator, parse_spec
 from cviopt.evaluation import adjusted_rand, clamp_score
 from cviopt.owa import OWASpec, aggregate, owa_weights
-from cviopt.partition import apply_move, enumerate_moves, from_labels
+from cviopt.partition import from_labels
 
 BATTERY_ENV = "CLUSTERING_BENCHMARKS_DIR"
 

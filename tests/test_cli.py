@@ -337,6 +337,39 @@ def test_optimiser_failure_names_the_exception_type(tmp_path, monkeypatch):
     assert all(r["message"] == "ParameterError: no climb today" for r in rows)
 
 
+def test_any_job_exception_becomes_a_failed_row(tmp_path, monkeypatch):
+    battery = write_battery(tmp_path / "battery")
+    real_optimise = cli.optim.optimise_dataset
+
+    def fail_at_k4(spec, ds, k, **kwargs):
+        if k == 4:
+            raise ValueError("kernel broke")
+        return real_optimise(spec, ds, k, **kwargs)
+
+    monkeypatch.setattr(cli.optim, "optimise_dataset", fail_at_k4)
+    runs = []
+    for name, jobs in (("serial", 1), ("parallel", 2)):
+        path, cfg = make_config(tmp_path, battery, out_name=name, specs=["BallHall"], jobs=jobs)
+        rows, failures = run_benchmark(RunConfig.load(str(path)))
+        assert failures == 1
+        rows = read_records(cfg["output_dir"])
+        assert [(r["dataset"], r["k"], r["status"], r["message"]) for r in rows] == [
+            ("toy/blobs", "2", "ok", ""),
+            ("toy/pairs", "2", "ok", ""),
+            ("toy/pairs", "4", "failed", "ValueError: kernel broke"),
+        ]
+        runs.append([{k: v for k, v in r.items() if k != "seconds"} for r in rows])
+    assert runs[0] == runs[1]
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.optim, "optimise_dataset", interrupt)
+    path, _ = make_config(tmp_path, battery, out_name="interrupted", specs=["BallHall"])
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(RunConfig.load(str(path)))
+
+
 def test_interrupted_run_keeps_finished_jobs_and_resumes(tmp_path, monkeypatch):
     battery = write_battery(tmp_path / "battery")
     strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]

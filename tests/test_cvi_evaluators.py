@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_surjective_labels
+from conftest import apply_move, enumerate_moves, make_dataset, random_surjective_labels
 from cviopt import cvi, dataio, geometry
 from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
 from cviopt.errors import InvalidMoveError
-from cviopt.partition import Move, apply_move, enumerate_moves, from_labels, iter_moves
+from cviopt.partition import Move, from_labels, iter_moves
 
 ALL_SPECS = (
     ["BallHall", "CalinskiHarabasz", "DaviesBouldin", "Silhouette", "SilhouetteW"]
@@ -83,22 +83,56 @@ def peek_table(ev):
 SCAN_SPECS = ALL_SPECS + ["DuNN_3_Min_Min", "DuNN_3_Max_Max", "DuNN_5_Max_Const", "WCNN_10"]
 
 
+def assert_scans_equal_peeks(spec, ds, k, rng, steps, what):
+    """From a random start and from k - 1 singletons, ``scan()`` equals
+    ``peek_table`` before and after each of ``steps - 1`` random commits."""
+    near_singletons = np.minimum(np.arange(ds.n), k - 1)
+    for labels in (random_surjective_labels(rng, ds.n, k), near_singletons):
+        ev = make_evaluator(spec, ds, from_labels(labels, k))
+        for step in range(steps):
+            if step:
+                moves = list(iter_moves(ev.labels, ev.sizes, ev.k))
+                ev.commit(moves[int(rng.integers(len(moves)))])
+            # == is bit equality and holds for +-inf alike
+            assert (ev.scan() == peek_table(ev)).all(), f"{what} after {step} commits"
+
+
 @pytest.mark.parametrize("text", SCAN_SPECS)
 def test_scan_equals_peek(text):
     spec = parse_spec(text)
     rng = np.random.default_rng(list(text.encode()))
     for make in (make_dataset, lattice_dataset):
         n, d, k = int(rng.integers(20, 40)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        ds = make(rng, n, d)
-        near_singletons = np.minimum(np.arange(n), k - 1)  # k - 1 clusters of size 1
-        for labels in (random_surjective_labels(rng, n, k), near_singletons):
-            ev = make_evaluator(spec, ds, from_labels(labels, k))
-            for step in range(21):
-                if step:
-                    moves = list(iter_moves(ev.labels, ev.sizes, ev.k))
-                    ev.commit(moves[int(rng.integers(len(moves)))])
-                # == is bit equality and holds for +-inf alike
-                assert (ev.scan() == peek_table(ev)).all(), f"{text} after {step} commits"
+        assert_scans_equal_peeks(spec, make(rng, n, d), k, rng, 21, text)
+
+
+def coarse_grid(rng, n, d):
+    """Distinct points of a small integer grid drawn without listing it, so
+    that it serves any d: many equal distances."""
+    side = max(3, int(np.ceil((4 * n) ** (1 / d))))
+    while True:
+        pts = np.unique(rng.integers(0, side, size=(2 * n, d)), axis=0)
+        if len(pts) >= n:
+            return dataio.Dataset(pts[rng.permutation(len(pts))[:n]].astype(float))
+
+
+@pytest.mark.parametrize(
+    "limit, cells", [(10**6, None), (10**6, 64), (8, 64)], ids=("dense", "blocks", "on_demand")
+)
+@pytest.mark.parametrize("text", ["Silhouette", "SilhouetteW", "DaviesBouldin"])
+def test_block_scan_equals_peek(text, limit, cells, monkeypatch):
+    # the block kernels at d >= 8 (where np.linalg.norm sums pairwise), at
+    # k = 5 (the least over the untouched clusters), in row blocks split
+    # many times, and on on-demand distance rows
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
+    if cells is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+    spec = parse_spec(text)
+    rng = np.random.default_rng(zlib.crc32(text.encode()))
+    for d, k in ((8, 2), (12, 3), (2, 5)):
+        for make in (make_dataset, coarse_grid):
+            ds = make(rng, int(rng.integers(25, 40)), d)
+            assert_scans_equal_peeks(spec, ds, k, rng, 9, f"{text} d={d} k={k}")
 
 
 def test_make_evaluator_matches_full(x4):

@@ -43,6 +43,19 @@ def test_knn_matches_brute_force():
         assert np.allclose(g.distances, dists)
 
 
+@pytest.mark.parametrize("d, side, Ms", [(2, 7, (2, 3, 4, 6, 10)), (3, 4, (3, 5, 8, 20))])
+def test_knn_on_tied_lattice_matches_brute_force(d, side, Ms):
+    # integer grid points: the M-th distance of a row is tied with others,
+    # so the lower point index must win among equal distances
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), -1).reshape(-1, d)
+    pts = grid[np.random.default_rng(d).permutation(len(grid))].astype(float)
+    for M in Ms:
+        g = nngraph.build_knn(dataio.Dataset(pts), M)
+        nbrs, dists = brute_knn(pts, M)
+        assert np.array_equal(g.neighbours, nbrs), M
+        assert np.allclose(g.distances, dists), M
+
+
 def test_knn_parameter_errors():
     ds = line(0, 1, 2)
     with pytest.raises(ParameterError):

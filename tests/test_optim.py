@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import climb_by_peek, k_partitions, make_dataset, wcss
+from conftest import apply_move, climb_by_peek, enumerate_moves, k_partitions, make_dataset, wcss
 from cviopt import cvi, dataio, optim
 from cviopt.cvi import evaluate, parse_spec
 from cviopt.errors import ContractViolationError, GenerationError, ParameterError
@@ -15,7 +15,7 @@ from cviopt.optim import (
     tabu_hill_climb,
     vantage_point_partition,
 )
-from cviopt.partition import apply_move, canonical_key, enumerate_moves, from_labels
+from cviopt.partition import canonical_key, from_labels
 
 
 def test_random_partition_deterministic_and_valid():

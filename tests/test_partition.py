@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_cluster_permutation_relabels, random_surjective_labels
-from cviopt import partition
-from cviopt.errors import InvalidMoveError, LabelRangeError, NotSurjectiveError
-from cviopt.partition import (
-    Move,
+from conftest import (
+    all_cluster_permutation_relabels,
     apply_move,
     canonicalize,
-    cluster_size_gini,
     enumerate_moves,
-    from_labels,
+    random_surjective_labels,
 )
+from cviopt import partition
+from cviopt.errors import InvalidMoveError, LabelRangeError, NotSurjectiveError
+from cviopt.partition import Move, cluster_size_gini, from_labels
 
 
 def test_from_labels_sizes():
