@@ -25,6 +25,7 @@ import os
 import sys
 import time
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 
@@ -85,13 +86,19 @@ class RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"battery_root", "output_dir", "specs"} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in raw.items():
+            if not _is_a(value, hints[key]):
+                raise ConfigError(f"config key {key!r} must be {fields[key].type}: {value!r}")
         cfg = cls(**raw)
         if cfg.patience < 1:
             raise ConfigError("patience must be >= 1")
@@ -103,6 +110,16 @@ class RunConfig:
             except CviOptError as exc:
                 raise ConfigError(f"bad spec {s!r}: {exc}") from exc
         return cfg
+
+
+def _is_a(value, hint) -> bool:
+    """Whether the JSON value ``value`` has the type ``hint``; a bool is not an int."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_is_a(v, args[0]) for v in value)
+    if args:  # a union such as str | None
+        return any(_is_a(value, h) for h in args)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def derived_seed(base: int, *parts: str) -> int:

@@ -2,17 +2,18 @@
 
 Every evaluator keeps sufficient statistics of the current partition so
 that ``peek`` (value after a hypothetical move), ``scan`` (the values of
-all moves, bit for bit the peeks) and ``commit`` (apply a move) are much
-cheaper than from-scratch evaluations.  The contract is
-semantic: after any sequence of commits, ``value()`` agrees with the
-definitional implementation in :mod:`cviopt.cvi.indices` to 1e-9 relative.
-Indices without a cheap exact delta fall back to bounded partial
-recomputation of the affected clusters.
+all moves) and ``commit`` (apply a move) are much cheaper than
+from-scratch evaluations.  The contract is semantic: after any sequence of
+commits, ``value()`` agrees with the definitional implementation in
+:mod:`cviopt.cvi.indices` to 1e-9 relative.
 
-``scan`` replays the peeks' arithmetic for all moves at once in BallHall,
-CalinskiHarabasz, WCNN, DuNN with a Min or Max separation over a Const
-compactness, and, in row blocks of at most ``geometry._BLOCK_CELLS`` cells,
-Silhouette, SilhouetteW and DaviesBouldin; every other index peeks each move.
+Each index has one move formula: an evaluator defines ``_scan`` (the
+moves of some points to some targets, at once) or ``_peek`` (one move),
+and the base class derives the other.  BallHall, CalinskiHarabasz, WCNN
+and, in row blocks of at most ``geometry._BLOCK_CELLS`` cells, Silhouette,
+SilhouetteW and DaviesBouldin define ``_scan``; GDunn and DuNN define
+``_peek``, and DuNN with a Min or Max separation over a Const compactness
+also scans, recomputing at most two moves with its peek.
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
@@ -27,7 +28,7 @@ from .. import owa
 from ..dataio import Dataset
 from ..geometry import DistanceProvider, emst, row_blocks
 from ..nngraph import edges_for, knn_for
-from ..partition import Move, Partition, check_move, from_labels, iter_moves
+from ..partition import Move, Partition, check_move, from_labels
 from . import indices
 from .specs import CVISpec
 
@@ -88,7 +89,7 @@ class CVIEvaluator:
         """Value of every move as an (n, k) array: ``out[p, j]`` is
         ``peek(Move(p, labels[p], j))``, bit for bit; -inf in the own-cluster
         cell and in every cell of a point whose cluster is a singleton."""
-        out = self._scan()
+        out = self._scan(np.arange(self._n), range(self._k))
         out[np.arange(self._n), self._labels] = -_INF
         out[self._sizes[self._labels] < 2] = -_INF
         return out
@@ -112,14 +113,21 @@ class CVIEvaluator:
         raise NotImplementedError
 
     def _peek(self, m: Move) -> float:
-        raise NotImplementedError
+        """Value after the valid move ``m``: one cell of a one-point scan."""
+        return self._scan(np.array([m.point]), (m.dst,))[0, m.dst]
 
-    def _scan(self) -> np.ndarray:
-        """The valid cells of ``scan``; the others may hold anything.  The
-        moves are valid by construction, so ``check_move`` is skipped."""
-        out = np.full((self._n, self._k), -_INF)
-        for m in iter_moves(self._labels, self._sizes, self._k):
-            out[m.point, m.dst] = self._peek(m)
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        """The ``scan`` rows of ``points``, as a (len(points), k) array, in
+        its valid cells of the columns ``targets``, a peek each; the other
+        cells may hold anything.  The moves are valid by construction, so
+        ``check_move`` is skipped."""
+        out = np.full((len(points), self._k), -_INF)
+        for r, p in enumerate(points.tolist()):
+            a = int(self._labels[p])
+            if self._sizes[a] >= 2:
+                for j in targets:
+                    if j != a:
+                        out[r, j] = self._peek(Move(p, a, j))
         return out
 
     def _apply(self, m: Move) -> None:
@@ -133,6 +141,7 @@ class _CentroidSSEvaluator(CVIEvaluator):
 
     Points are centered once: all such indices are translation-invariant
     and centering keeps the sq - |t|^2/n cancellation well conditioned.
+    The index sums per-cluster ``_terms()``, kept with their total.
     """
 
     def _init_state(self) -> None:
@@ -140,64 +149,43 @@ class _CentroidSSEvaluator(CVIEvaluator):
         self._sqnorm = (self._pts**2).sum(axis=1)
         self._t = np.zeros((self._k, self.ds.d))
         self._sq = np.zeros(self._k)
-        for j in range(self._k):
-            mask = self._labels == j
-            self._t[j] = self._pts[mask].sum(axis=0)
-            self._sq[j] = self._sqnorm[mask].sum()
+        self._refresh(range(self._k))
 
     def _apply(self, m: Move) -> None:
-        for j in (m.src, m.dst):
+        self._refresh((m.src, m.dst))
+
+    def _refresh(self, rows) -> None:
+        for j in rows:
             mask = self._labels == j
             self._t[j] = self._pts[mask].sum(axis=0)
             self._sq[j] = self._sqnorm[mask].sum()
-
-    def _move_stats(self, m: Move):
-        """(t, sq, sizes) rows for src and dst after the move."""
-        x = self._pts[m.point]
-        xsq = self._sqnorm[m.point]
-        t_src = self._t[m.src] - x
-        t_dst = self._t[m.dst] + x
-        sq_src = self._sq[m.src] - xsq
-        sq_dst = self._sq[m.dst] + xsq
-        n_src = self._sizes[m.src] - 1
-        n_dst = self._sizes[m.dst] + 1
-        return t_src, t_dst, sq_src, sq_dst, n_src, n_dst
+        self._per = self._terms()
+        self._total = self._per.sum()
 
 
 class BallHallEvaluator(_CentroidSSEvaluator):
-    def _value_from(self, t, sq, sizes) -> float:
-        ss = sq - (t**2).sum(axis=1) / sizes
-        return float(-(ss / sizes).sum())
+    def _terms(self) -> np.ndarray:
+        return (self._sq - (self._t**2).sum(axis=1) / self._sizes) / self._sizes
 
     def _full_value(self) -> float:
-        return self._value_from(self._t, self._sq, self._sizes)
+        return -self._total
 
-    def _peek(self, m: Move) -> float:
-        t_src, t_dst, sq_src, sq_dst, n_src, n_dst = self._move_stats(m)
-        ss = self._sq - (self._t**2).sum(axis=1) / self._sizes
-        total = (ss / self._sizes).sum()
-        total -= ss[m.src] / self._sizes[m.src] + ss[m.dst] / self._sizes[m.dst]
-        total += (sq_src - (t_src**2).sum() / n_src) / n_src
-        total += (sq_dst - (t_dst**2).sum() / n_dst) / n_dst
-        return float(-total)
-
-    def _scan(self) -> np.ndarray:
-        # _peek's operations in its order: the source term per point, the
-        # destination term per column, on (n, d) arrays
-        lab, sizes = self._labels, self._sizes
-        ss = self._sq - (self._t**2).sum(axis=1) / sizes
-        per = ss / sizes
-        total = per.sum()
-        out = np.empty((self._n, self._k))
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        # the total less the terms of a and j, plus their post-move terms:
+        # the source term per point, the destination term per column
+        lab, sizes, per, total = self._labels[points], self._sizes, self._per, self._total
+        x, xsq = self._pts[points], self._sqnorm[points]
+        out = np.empty((len(points), self._k))
         with np.errstate(divide="ignore", invalid="ignore"):
             n_src = sizes[lab] - 1
-            t_src = ((self._t[lab] - self._pts) ** 2).sum(axis=1)
-            src = (self._sq[lab] - self._sqnorm - t_src / n_src) / n_src
-            for j in range(self._k):
+            t_src = ((self._t[lab] - x) ** 2).sum(axis=1)
+            src = (self._sq[lab] - xsq - t_src / n_src) / n_src
+            per_src = per[lab]
+            for j in targets:
                 n_dst = sizes[j] + 1
-                t_dst = ((self._t[j] + self._pts) ** 2).sum(axis=1)
-                dst = (self._sq[j] + self._sqnorm - t_dst / n_dst) / n_dst
-                out[:, j] = -(total - (per[lab] + per[j]) + src + dst)
+                t_dst = ((self._t[j] + x) ** 2).sum(axis=1)
+                dst = (self._sq[j] + xsq - t_dst / n_dst) / n_dst
+                out[:, j] = -(total - (per_src + per[j]) + src + dst)
         return out
 
 
@@ -211,29 +199,23 @@ class CalinskiHarabaszEvaluator(_CentroidSSEvaluator):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(wcss <= 0.0, _INF, (self._n - self._k) / (self._k - 1) * bcss / wcss)
 
+    def _terms(self) -> np.ndarray:
+        return (self._t**2).sum(axis=1) / self._sizes
+
     def _full_value(self) -> float:
-        bcss = float(((self._t**2).sum(axis=1) / self._sizes).sum())
-        return self._ch(bcss)
+        return self._ch(float(self._total))
 
-    def _peek(self, m: Move) -> float:
-        t_src, t_dst, _, _, n_src, n_dst = self._move_stats(m)
-        bcss = float(((self._t**2).sum(axis=1) / self._sizes).sum())
-        bcss -= (self._t[m.src] ** 2).sum() / self._sizes[m.src]
-        bcss -= (self._t[m.dst] ** 2).sum() / self._sizes[m.dst]
-        bcss += (t_src**2).sum() / n_src + (t_dst**2).sum() / n_dst
-        return self._ch(bcss)
-
-    def _scan(self) -> np.ndarray:
-        # _peek's operations in its order, as in BallHallEvaluator._scan
-        lab, sizes = self._labels, self._sizes
-        bcss = float(((self._t**2).sum(axis=1) / sizes).sum())
-        own = np.array([(self._t[j] ** 2).sum() / sizes[j] for j in range(self._k)])
-        out = np.empty((self._n, self._k))
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        # as in BallHallEvaluator._scan
+        lab, sizes, x = self._labels[points], self._sizes, self._pts[points]
+        own, bcss = self._per, float(self._total)
+        out = np.empty((len(points), self._k))
         with np.errstate(divide="ignore", invalid="ignore"):
-            src = ((self._t[lab] - self._pts) ** 2).sum(axis=1) / (sizes[lab] - 1)
-            for j in range(self._k):
-                dst = ((self._t[j] + self._pts) ** 2).sum(axis=1) / (sizes[j] + 1)
-                out[:, j] = self._ch(bcss - own[lab] - own[j] + (src + dst))
+            src = ((self._t[lab] - x) ** 2).sum(axis=1) / (sizes[lab] - 1)
+            rest = bcss - own[lab]
+            for j in targets:
+                dst = ((self._t[j] + x) ** 2).sum(axis=1) / (sizes[j] + 1)
+                out[:, j] = self._ch(rest - own[j] + (src + dst))
         return out
 
 
@@ -245,92 +227,68 @@ class SilhouetteEvaluator(CVIEvaluator):
     def _init_state(self) -> None:
         self._dp = DistanceProvider(self.ds)
         self._dsum = self._dp.cluster_sums(self._labels, self._k)
-        self._row_cache: tuple[int, np.ndarray] | None = None
+        self._means()
 
-    def _row(self, p: int) -> np.ndarray:
-        if self._row_cache is not None and self._row_cache[0] == p:
-            return self._row_cache[1]
-        row = self._dp.row(p)
-        self._row_cache = (p, row)
-        return row
-
-    def _score(self, dsum_vals, own_sum, labels, sizes) -> float:
-        ar = np.arange(self._n)
+    def _means(self) -> None:
+        """Each point's mean distances to the clusters, inf at its own
+        (``_mean_to``), and to the other members of its own (``_intra``)."""
+        ar, lab, sizes = np.arange(self._n), self._labels, self._sizes
         with np.errstate(divide="ignore", invalid="ignore"):
-            mean_to = dsum_vals / sizes[None, :]
-            mean_to[ar, labels] = np.inf
-            b = mean_to.min(axis=1)
-            n_own = sizes[labels]
-            a = own_sum / (n_own - 1)
+            self._mean_to = self._dsum / sizes[None, :]
+            self._intra = self._dsum[ar, lab] / (sizes[lab] - 1)
+        self._mean_to[ar, lab] = np.inf
+
+    def _full_value(self) -> float:
+        a, b, n_own = self._intra, self._mean_to.min(axis=1), self._sizes[self._labels]
+        with np.errstate(divide="ignore", invalid="ignore"):
             den = np.maximum(a, b)
             s = np.where(den > 0.0, (b - a) / den, 0.0)
         s[n_own == 1] = 0.0
         if not self.weighted:
             return float(s.mean())
-        singles = int((sizes == 1).sum())
-        effective = self._k - singles
+        effective = self._k - int((self._sizes == 1).sum())
         if effective < 1:
-            return float("-inf")
+            return -_INF
         return float((s / n_own).sum() / effective)
 
-    def _full_value(self) -> float:
-        own = self._dsum[np.arange(self._n), self._labels]
-        return self._score(self._dsum, own, self._labels, self._sizes)
-
-    def _peek(self, m: Move) -> float:
-        p, a, b = m.point, m.src, m.dst
-        row = self._row(p)
-        dsum2 = self._dsum.copy()
-        dsum2[:, a] -= row
-        dsum2[:, b] += row
-        labels2 = self._labels.copy()
-        labels2[p] = b
-        sizes2 = self._sizes.copy()
-        sizes2[a] -= 1
-        sizes2[b] += 1
-        own = dsum2[np.arange(self._n), labels2]
-        return self._score(dsum2, own, labels2, sizes2)
-
     def _apply(self, m: Move) -> None:
-        row = self._row(m.point)
+        row = self._dp.row(m.point)
         self._dsum[:, m.src] -= row
         self._dsum[:, m.dst] += row
+        self._means()
 
-    def _scan(self) -> np.ndarray:
-        # _score's terms for a row block of moving points p, all from one
-        # source cluster a, one target j at a time.  A move p: a -> j
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        # _full_value's terms for a row block of moving points p, all from
+        # one source cluster a, one target j at a time.  A move p: a -> j
         # changes only columns a and j of dsum, by -row_p and +row_p; every
         # other point q stays in its cluster and p joins j.  The nearest
         # mean of q is then the least of the two changed means and rest_q,
         # its least mean over the clusters other than a, j and its own.
-        n, k, lab, sizes = self._n, self._k, self._labels, self._sizes
-        ar = np.arange(n)
-        dsum_t = self._dsum.T.copy()
-        out = np.full((n, k), -_INF)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean_to = self._dsum / sizes[None, :]
-            intra = dsum_t[lab, ar] / (sizes[lab] - 1)  # of q outside a and j
-        mean_to[ar, lab] = np.inf
-        for a in np.flatnonzero(sizes >= 2):
+        n, k, lab, sizes, dsum = self._n, self._k, self._labels, self._sizes, self._dsum
+        src = lab[points]
+        out = np.full((len(points), k), -_INF)
+        for a in np.unique(src[sizes[src] >= 2]):
             in_a = lab == a
             rest = {}
-            for j in range(k):
+            for j in targets:
                 if j != a:
-                    others = mean_to.copy()
+                    others = self._mean_to.copy()
                     others[:, [a, j]] = np.inf
                     rest[j] = others.min(axis=1)
-            for block in row_blocks(np.flatnonzero(in_a), n):
+            cols = {j: dsum[:, j].copy() for j in [a, *rest]}
+            for rows in row_blocks(np.flatnonzero(src == a), n):
+                block = points[rows]
                 rr = np.arange(len(block))
                 dist = self._dp.rows(block)
-                sum_a = dsum_t[a] - dist
+                sum_a = cols[a] - dist
                 with np.errstate(divide="ignore", invalid="ignore"):
                     mean_a = sum_a / (sizes[a] - 1)
-                    intra_a = np.where(in_a, sum_a / (sizes[a] - 2), intra)
+                    intra_a = np.where(in_a, sum_a / (sizes[a] - 2), self._intra)
                 near_a = np.where(in_a, np.inf, mean_a)
                 near_a[rr, block] = mean_a[rr, block]
                 for j in rest:
-                    cells = self._scan_cells(a, j, block, dsum_t[j] + dist, near_a, intra_a, rest[j])
-                    out[block, j] = cells
+                    cells = self._scan_cells(a, j, block, cols[j] + dist, near_a, intra_a, rest[j])
+                    out[rows, j] = cells
         return out
 
     def _scan_cells(self, a, j, block, sum_j, near_a, intra_a, rest) -> np.ndarray:
@@ -392,6 +350,17 @@ def _centroid_gaps(t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return _dist(cents[..., :, None, :], cents[..., None, :, :])
 
 
+def _incidence(u: np.ndarray, v: np.ndarray, n: int):
+    """The edges (u, v) listed once from each end, grouped by point, as
+    (end, edge, other end, starts): the incidences of point p are the
+    slice ``starts[p]:starts[p + 1]``, in edge order."""
+    ends = np.concatenate([u, v])
+    by_point = np.argsort(ends, kind="stable")
+    edge = np.tile(np.arange(len(u)), 2)[by_point]
+    starts = np.searchsorted(ends[by_point], np.arange(n + 1))
+    return ends[by_point], edge, np.concatenate([v, u])[by_point], starts
+
+
 class _EdgeSplit:
     """A fixed edge set (u, v, w) split by a labeling into a cross-cluster
     side (0) and a within-cluster side (1).
@@ -404,18 +373,10 @@ class _EdgeSplit:
 
     def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: np.ndarray) -> None:
         order = np.argsort(w, kind="stable")
-        u, v, self._w = u[order], v[order], w[order]
-        self._u, self._v = u, v
-        ends = np.concatenate([u, v])
-        ranks = np.tile(np.arange(len(w)), 2)
-        opp = np.concatenate([v, u])
-        by_point = np.argsort(ends, kind="stable")
-        ends, ranks, opp = ends[by_point], ranks[by_point], opp[by_point]
-        self._ends, self._ranks, self._opps = ends, ranks, opp
-        starts = np.searchsorted(ends, np.arange(len(labels) + 1))
-        self._inc = [ranks[s:e] for s, e in zip(starts[:-1], starts[1:])]
-        self._opp = [opp[s:e] for s, e in zip(starts[:-1], starts[1:])]
-        self._within = labels[u] == labels[v]
+        self._u, self._v, self._w = u[order], v[order], w[order]
+        self._ends, self._ranks, self._opps, starts = _incidence(self._u, self._v, len(labels))
+        self._starts = starts.tolist()  # Python ints slice fastest
+        self._within = labels[self._u] == labels[self._v]
         self._refresh()
 
     def _refresh(self) -> None:
@@ -426,8 +387,8 @@ class _EdgeSplit:
         """Ranks of p's edges that turn cross and that turn within when p
         moves from cluster a to b.  p is never its own neighbour, so the
         pre-move and the post-move labels give the same answer."""
-        lab = labels[self._opp[p]]
-        inc = self._inc[p]
+        s, e = self._starts[p], self._starts[p + 1]
+        lab, inc = labels[self._opps[s:e]], self._ranks[s:e]
         return inc[lab == a], inc[lab == b]
 
     def commit(self, to_cross: np.ndarray, to_within: np.ndarray) -> None:
@@ -484,7 +445,7 @@ class _EdgeSplit:
 class _ClusterStatsEvaluator(CVIEvaluator):
     """An index that is one formula, ``_value_of(st, sizes)``, over
     per-cluster statistics: ``value()`` applies it to the current
-    statistics and ``peek`` to the post-move ones.
+    statistics and ``_peek`` (DaviesBouldin: ``_scan``) to the post-move ones.
 
     ``needs`` names the statistics a subclass reads; ``st`` holds them:
 
@@ -647,42 +608,46 @@ def _davies_bouldin(sdc: np.ndarray, t: np.ndarray, sizes: np.ndarray):
 class DaviesBouldinEvaluator(_ClusterStatsEvaluator):
     needs = frozenset({"t", "sdc"})
 
+    _peek = CVIEvaluator._peek  # one cell of _scan
+
     def _value_of(self, st: dict, sizes: np.ndarray) -> float:
         return float(_davies_bouldin(st["sdc"], st["t"], sizes))
 
-    def _scan(self) -> np.ndarray:
-        # _peek's statistics for every move at once: the sdc of a \ p for
-        # each p once per step, the sdc of j + p per target j, then the
-        # k x k ratios over a row block of moves
-        n, k, lab, pts, mem = self._n, self._k, self._labels, self._pts, self._mem
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        # the post-move statistics of every move at once: the sdc of a less
+        # p once per moving point p, the sdc of j plus p per target j, then
+        # the k x k ratios over a row block of moves
+        k, lab, pts, mem = self._k, self._labels, self._pts, self._mem
         t, sdc = self._st["t"], self._st["sdc"]
         sizes = self._sizes.astype(np.float64)
-        out = np.full((n, k), -_INF)
-        sdc_src = np.empty(n)  # sdc of a less p, per moving point p
-        for a in np.flatnonzero(self._sizes >= 2):
+        out = np.full((len(points), k), -_INF)
+        src = lab[points]
+        movable = np.flatnonzero(self._sizes[src] >= 2)  # rows of points
+        sdc_src = np.empty(len(points))  # sdc of a less p, per row
+        for a in np.unique(src[movable]):
             x_a, m = pts[mem[a]], len(mem[a])
-            for pos in row_blocks(np.arange(m), m):
+            for r in row_blocks(movable[src[movable] == a], m):
                 # distances of a's members to the centroids of a less each p,
                 # without p's own column
+                pos = np.searchsorted(mem[a], points[r])
                 dist = _dist(x_a, ((t[a] - x_a[pos]) / (m - 1))[:, None])
                 keep = np.ones(dist.shape, dtype=bool)
                 keep[np.arange(len(pos)), pos] = False
-                sdc_src[mem[a][pos]] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
-        movable = np.flatnonzero(self._sizes[lab] >= 2)
-        for j in range(k):
+                sdc_src[r] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
+        for j in targets:
             x_j, m = pts[mem[j]], len(mem[j])
-            for p in row_blocks(movable[lab[movable] != j], max(m + 1, k * k)):
-                rr, x, a = np.arange(len(p)), pts[p], lab[p]
+            for r in row_blocks(movable[src[movable] != j], max(m + 1, k * k)):
+                rr, x, a = np.arange(len(r)), pts[points[r]], src[r]
                 cents = ((t[j] + x) / (m + 1))[:, None]
                 dist = np.concatenate([_dist(x_j, cents), _dist(x[:, None], cents)], axis=1)
-                sizes2, t2, sdc2 = (np.repeat(v[None], len(p), axis=0) for v in (sizes, t, sdc))
+                sizes2, t2, sdc2 = (np.repeat(v[None], len(r), axis=0) for v in (sizes, t, sdc))
                 sizes2[rr, a] -= 1
                 sizes2[:, j] += 1
                 t2[rr, a] -= x
                 t2[:, j] += x
-                sdc2[rr, a] = sdc_src[p]
+                sdc2[rr, a] = sdc_src[r]
                 sdc2[:, j] = dist.sum(axis=1)
-                out[p, j] = _davies_bouldin(sdc2, t2, sizes2)
+                out[r, j] = _davies_bouldin(sdc2, t2, sizes2)
         return out
 
 
@@ -756,18 +721,18 @@ class DuNNEvaluator(CVIEvaluator):
     def _apply(self, m: Move) -> None:
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
-    def _scan(self) -> np.ndarray:
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
         # vectorised for a Min or Max separation over a Const compactness,
         # whose value is the separation; the others run the _peek loop
         kind = self.spec.owa_s.kind
         if kind not in ("Min", "Max") or not self.spec.owa_c.is_const:
-            return super()._scan()
+            return super()._scan(points, targets)
         lab = self._labels
         num, redo = self._split.scan_cross(kind, lab)
         # _value_for: no cross edges left is +inf
-        out = np.repeat(np.where(np.isnan(num), _INF, num)[:, None], self._k, axis=1)
+        out = np.repeat(np.where(np.isnan(num), _INF, num)[points, None], self._k, axis=1)
         for p, j in redo:
-            out[p, j] = self._peek(Move(p, int(lab[p]), j))
+            out[points == p, j] = self._peek(Move(p, int(lab[p]), j))
         return out
 
 
@@ -777,60 +742,40 @@ class WCNNEvaluator(CVIEvaluator):
     def _init_state(self) -> None:
         self._nb = knn_for(self.ds, self.spec.m).neighbours
         n, M = self._nb.shape
-        src = self._src = np.repeat(np.arange(n, dtype=np.int64), M)
-        tgt = self._nb.ravel()
-        order = np.argsort(tgt, kind="stable")
-        src_sorted = src[order]
-        starts = np.searchsorted(tgt[order], np.arange(n + 1))
-        self._in_nb = [src_sorted[starts[i] : starts[i + 1]] for i in range(n)]
+        _, _, self._opp, self._starts = _incidence(np.repeat(np.arange(n), M), self._nb.ravel(), n)
         self._count = int((self._labels[self._nb] == self._labels[:, None]).sum())
+        self._guard_moves()
 
-    def _guarded(self, count: int, sizes: np.ndarray) -> float:
-        if (sizes <= self.spec.m).any():
-            return -_INF
-        return count / (self._n * self.spec.m)
+    def _guard_moves(self) -> None:
+        # the size guard of a move depends only on its (src, dst) pair
+        eye = np.eye(self._k, dtype=np.int64)
+        self._guard = (self._sizes - eye[:, None] + eye[None] <= self.spec.m).any(axis=2)
 
     def _full_value(self) -> float:
-        return self._guarded(self._count, self._sizes)
+        if (self._sizes <= self.spec.m).any():
+            return -_INF
+        return self._count / (self._n * self.spec.m)
 
-    def _delta(self, p: int, a: int, b: int) -> int:
-        out_lab = self._labels[self._nb[p]]
-        in_lab = self._labels[self._in_nb[p]]
-        return int(
-            (out_lab == b).sum()
-            + (in_lab == b).sum()
-            - (out_lab == a).sum()
-            - (in_lab == a).sum()
-        )
-
-    def _peek(self, m: Move) -> float:
-        sizes2 = self._sizes.copy()
-        sizes2[m.src] -= 1
-        sizes2[m.dst] += 1
-        return self._guarded(self._count + self._delta(m.point, m.src, m.dst), sizes2)
+    def _hits(self, points: np.ndarray) -> np.ndarray:
+        """(len(points), k) counts of each point's out- and in-neighbours
+        per cluster, read from the points' slices of the incidence layout."""
+        lo, cnt = self._starts[points], self._starts[points + 1] - self._starts[points]
+        rows = np.repeat(np.arange(len(points)), cnt)
+        at = np.arange(len(rows)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        cells = rows * self._k + self._labels[self._opp[at]]
+        return np.bincount(cells, minlength=len(points) * self._k).reshape(-1, self._k)
 
     def _apply(self, m: Move) -> None:
-        # neighbour labels never include the moved point itself, so the
-        # delta is the same whether computed pre- or post-move
-        self._count += self._delta(m.point, m.src, m.dst)
+        # p is never its own neighbour, so its counts are the same before
+        # and after the move
+        hits = self._hits(np.array([m.point]))[0]
+        self._count += int(hits[m.dst] - hits[m.src])
+        self._guard_moves()
 
-    def _scan(self) -> np.ndarray:
-        n, k, lab, m = self._n, self._k, self._labels, self.spec.m
-        tgt = self._nb.ravel()
-        # per point and cluster: out-neighbours plus in-neighbours in it
-        hits = np.bincount(self._src * k + lab[tgt], minlength=n * k)
-        hits += np.bincount(tgt * k + lab[self._src], minlength=n * k)
-        hits = hits.reshape(n, k)
-        delta = hits - hits[np.arange(n), lab][:, None]
-        # the size guard depends only on the (src, dst) pair
-        guard = np.zeros((k, k), dtype=bool)
-        for a in range(k):
-            for b in range(k):
-                sizes = self._sizes.copy()
-                sizes[a] -= 1
-                sizes[b] += 1
-                guard[a, b] = (sizes <= m).any()
-        return np.where(guard[lab], -_INF, (self._count + delta) / (n * m))
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        src, hits = self._labels[points], self._hits(points)
+        delta = hits - hits[np.arange(len(points)), src][:, None]
+        return np.where(self._guard[src], -_INF, (self._count + delta) / (self._n * self.spec.m))
 
 
 #: family -> (definitional function of (spec, ds, p), evaluator class)

@@ -77,18 +77,6 @@ def canonical_key(labels: np.ndarray) -> bytes:
     return relabel_first_occurrence(labels).astype(np.int32).tobytes()
 
 
-def iter_moves(labels: np.ndarray, sizes: np.ndarray, k: int):
-    """Yield valid relocations in ascending (point, target cluster) order."""
-    n = labels.shape[0]
-    for i in range(n):
-        src = int(labels[i])
-        if sizes[src] < 2:
-            continue  # departure would empty the cluster
-        for dst in range(k):
-            if dst != src:
-                yield Move(i, src, dst)
-
-
 def check_move(p_labels: np.ndarray, sizes: np.ndarray, k: int, m: Move) -> None:
     """Raise InvalidMoveError unless ``m`` is applicable to the labeling."""
     n = p_labels.shape[0]

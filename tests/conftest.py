@@ -48,10 +48,22 @@ def canonicalize(p: partition.Partition) -> partition.Partition:
     return partition.from_labels(partition.relabel_first_occurrence(p.labels), p.k)
 
 
+def iter_moves(labels: np.ndarray, sizes: np.ndarray, k: int):
+    """Yield valid relocations in ascending (point, target cluster) order."""
+    n = labels.shape[0]
+    for i in range(n):
+        src = int(labels[i])
+        if sizes[src] < 2:
+            continue  # departure would empty the cluster
+        for dst in range(k):
+            if dst != src:
+                yield partition.Move(i, src, dst)
+
+
 def enumerate_moves(p: partition.Partition) -> list[partition.Move]:
     """All single-point relocations that keep the partition surjective, in
     ascending (point, target cluster) order: the optimizer's tie order."""
-    return list(partition.iter_moves(p.labels, p.sizes, p.k))
+    return list(iter_moves(p.labels, p.sizes, p.k))
 
 
 def apply_move(p: partition.Partition, m: partition.Move) -> partition.Partition:
@@ -181,7 +193,7 @@ def climb_by_peek(spec, ds, candidates, P):
         while True:
             chosen = None
             chosen_value = float("-inf")
-            for m in partition.iter_moves(ev.labels, ev.sizes, ev.k):
+            for m in iter_moves(ev.labels, ev.sizes, ev.k):
                 v = ev.peek(m)
                 if v > chosen_value:
                     np.copyto(work, ev.labels)

@@ -70,6 +70,35 @@ def test_config_validation(tmp_path):
         RunConfig.load(str(path2))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("patience", "5"),
+        ("seed", 1.5),
+        ("jobs", True),
+        ("min_component_policy", 1),
+        ("specs", "BallHall"),
+        ("include", ["toy/pairs", 3]),
+        ("candidate_root", 7),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_clean_error(tmp_path, capsys, key, value):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.load(str(path))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert f"error: config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_accepts_every_declared_type(tmp_path):
+    battery = write_battery(tmp_path / "battery")
+    overrides = {"candidate_root": None, "min_component_policy": False, "include": []}
+    path, _ = make_config(tmp_path, battery, **overrides)
+    cfg = RunConfig.load(str(path))
+    assert cfg.candidate_root is None and cfg.min_component_policy is False and cfg.include == []
+
+
 def test_run_benchmark_smoke(tmp_path):
     battery = write_battery(tmp_path / "battery")
     path, cfg = make_config(tmp_path, battery)

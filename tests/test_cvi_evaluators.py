@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply_move, enumerate_moves, make_dataset, random_surjective_labels
+from conftest import apply_move, enumerate_moves, iter_moves, make_dataset, random_surjective_labels
 from cviopt import cvi, dataio, geometry
 from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
 from cviopt.errors import InvalidMoveError
-from cviopt.partition import Move, from_labels, iter_moves
+from cviopt.partition import Move, from_labels
 
 ALL_SPECS = (
     ["BallHall", "CalinskiHarabasz", "DaviesBouldin", "Silhouette", "SilhouetteW"]
@@ -106,6 +106,31 @@ def test_scan_equals_peek(text):
         assert_scans_equal_peeks(spec, make(rng, n, d), k, rng, 21, text)
 
 
+@pytest.mark.parametrize("text", SCAN_SPECS)
+def test_scan_of_some_points_and_targets_equals_full_scan(text):
+    # _scan(points, targets), the one formula both peek and scan read, is
+    # the scan() rows of any points, in any order, in its valid cells of
+    # any targets
+    spec = parse_spec(text)
+    rng = np.random.default_rng(zlib.crc32(b"some " + text.encode()))
+    for make in (make_dataset, lattice_dataset):
+        n, d, k = int(rng.integers(20, 40)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        labels = random_surjective_labels(rng, n, k)
+        ev = make_evaluator(spec, make(rng, n, d), from_labels(labels, k))
+        for step in range(6):
+            if step:
+                moves = list(iter_moves(ev.labels, ev.sizes, ev.k))
+                ev.commit(moves[int(rng.integers(len(moves)))])
+            full = ev.scan()
+            for size in (1, 2, n // 2, n):
+                points = rng.permutation(n)[:size]
+                targets = rng.permutation(k)[: int(rng.integers(1, k + 1))].tolist()
+                src = ev.labels[points]
+                valid = (src[:, None] != targets) & (ev.sizes[src] >= 2)[:, None]
+                part = ev._scan(points, targets)[:, targets]
+                assert (part[valid] == full[points][:, targets][valid]).all(), f"{text} {size}"
+
+
 def coarse_grid(rng, n, d):
     """Distinct points of a small integer grid drawn without listing it, so
     that it serves any d: many equal distances."""
@@ -119,11 +144,13 @@ def coarse_grid(rng, n, d):
 @pytest.mark.parametrize(
     "limit, cells", [(10**6, None), (10**6, 64), (8, 64)], ids=("dense", "blocks", "on_demand")
 )
-@pytest.mark.parametrize("text", ["Silhouette", "SilhouetteW", "DaviesBouldin"])
+@pytest.mark.parametrize(
+    "text", ["Silhouette", "SilhouetteW", "DaviesBouldin", "BallHall", "CalinskiHarabasz", "WCNN_5"]
+)
 def test_block_scan_equals_peek(text, limit, cells, monkeypatch):
-    # the block kernels at d >= 8 (where np.linalg.norm sums pairwise), at
-    # k = 5 (the least over the untouched clusters), in row blocks split
-    # many times, and on on-demand distance rows
+    # the scan kernels at d >= 8 (where np.linalg.norm and sums over d add
+    # pairwise), at k = 5 (the least over the untouched clusters), in row
+    # blocks split many times, and on on-demand distance rows
     monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
     if cells is not None:
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
