@@ -11,9 +11,13 @@ Each index has one move formula: an evaluator defines ``_scan`` (the
 moves of some points to some targets, at once) or ``_peek`` (one move),
 and the base class derives the other.  BallHall, CalinskiHarabasz, WCNN
 and, in row blocks of at most ``geometry._BLOCK_CELLS`` cells, Silhouette,
-SilhouetteW and DaviesBouldin define ``_scan``; GDunn and DuNN define
-``_peek``, and DuNN with a Min or Max separation over a Const compactness
-also scans, recomputing at most two moves with its peek.
+SilhouetteW and DaviesBouldin define ``_scan``.  GDunn and DuNN define
+``_peek`` and also scan where every statistic is an exact minimum or
+maximum or the same dot product, so the scan equals the peeks bit for
+bit: GDunn d1 and d2 over D1 with a farthest-point matrix, DuNN with any
+OWA pair but Mean with one side scan per side, each peeking the few
+moves its premise does not cover.  ``commit`` reuses the last ``peek``
+when it was of the same move.
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
@@ -53,6 +57,7 @@ class CVIEvaluator:
         self._sizes = part.sizes.astype(np.int64).copy()
         self._k = part.k
         self._n = part.n
+        self._peeked: tuple | None = None  # (move, value) of the last peek
         self._init_state()
         self._value = float(self._full_value())
 
@@ -83,21 +88,29 @@ class CVIEvaluator:
     def peek(self, m: Move) -> float:
         """Value the index would take after ``m``, without mutating state."""
         check_move(self._labels, self._sizes, self._k, m)
-        return float(self._peek(m))
+        v = float(self._peek(m))
+        self._peeked = (m, v)
+        return v
 
     def scan(self) -> np.ndarray:
         """Value of every move as an (n, k) array: ``out[p, j]`` is
         ``peek(Move(p, labels[p], j))``, bit for bit; -inf in the own-cluster
         cell and in every cell of a point whose cluster is a singleton."""
+        self._peeked = None  # the scan may peek moves itself
         out = self._scan(np.arange(self._n), range(self._k))
         out[np.arange(self._n), self._labels] = -_INF
         out[self._sizes[self._labels] < 2] = -_INF
         return out
 
     def commit(self, m: Move) -> None:
-        """Advance to the post-move partition; value() becomes peek(m)."""
+        """Advance to the post-move partition; value() becomes peek(m),
+        reused when the last peek, scan or commit was ``peek(m)``."""
         check_move(self._labels, self._sizes, self._k, m)
-        v = float(self._peek(m))
+        if self._peeked is not None and self._peeked[0] == m:
+            v = self._peeked[1]
+        else:
+            v = float(self._peek(m))
+        self._peeked = None
         self._labels[m.point] = m.dst
         self._sizes[m.src] -= 1
         self._sizes[m.dst] += 1
@@ -129,6 +142,14 @@ class CVIEvaluator:
                     if j != a:
                         out[r, j] = self._peek(Move(p, a, j))
         return out
+
+    def _peek_cells(self, out: np.ndarray, points: np.ndarray, targets, cells) -> None:
+        """Write a peek into ``out[r, j]`` for each (point, target) of
+        ``cells`` that is a valid move of ``points[r]`` to one of ``targets``."""
+        for p, j in dict.fromkeys(cells):
+            a, rows = int(self._labels[p]), np.flatnonzero(points == p)
+            if len(rows) and j != a and j in targets and self._sizes[a] >= 2:
+                out[rows, j] = self._peek(Move(p, a, j))
 
     def _apply(self, m: Move) -> None:
         """Refresh sufficient statistics; called with labels/sizes already
@@ -374,8 +395,9 @@ class _EdgeSplit:
     def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: np.ndarray) -> None:
         order = np.argsort(w, kind="stable")
         self._u, self._v, self._w = u[order], v[order], w[order]
-        self._ends, self._ranks, self._opps, starts = _incidence(self._u, self._v, len(labels))
-        self._starts = starts.tolist()  # Python ints slice fastest
+        self._ends, self._ranks, self._opps, self._offsets = _incidence(self._u, self._v, len(labels))
+        self._starts = self._offsets.tolist()  # Python ints slice fastest
+        self._degree = int(np.diff(self._offsets).max())
         self._within = labels[self._u] == labels[self._v]
         self._refresh()
 
@@ -422,6 +444,47 @@ class _EdgeSplit:
             return float(self._w[max(cand)])
         return owa.aggregate(spec, self._w[cand])
 
+    def scan_side(self, spec: owa.OWASpec, side: int, labels, p, rm, add) -> np.ndarray:
+        """``aggregate`` of a Min, Max, SMin, SMax or Const side, NaN for
+        None, after each move of a point ``p[r]`` that takes its edges into
+        cluster ``rm[r]`` out of the side and its edges into ``add[r]`` in."""
+        if spec.is_const:
+            return np.ones(len(p))
+        # as in aggregate: the t extreme ranks after the move lie among the
+        # side's t + degree extreme ranks less the removed ones, and the
+        # added ones.  Ranks are keyed by nearness to the extreme, so the
+        # extremes sort first and the key e, which no edge has, pads.
+        t, e = (1 if spec.delta is None else 3 * spec.delta), len(self._w)
+        low = spec.kind in ("Min", "SMin")
+        near = (self._sides[side] if low else self._sides[side][::-1])[: t + self._degree]
+        u, v = self._u[near], self._v[near]
+        lab_u, lab_v = labels[u], labels[v]
+        key = near if low else e - 1 - near
+        t = min(t, len(near) + self._degree)
+        pick = np.empty((len(p), t), dtype=np.int64)
+        for r in row_blocks(np.arange(len(p)), len(near) + 3 * self._degree):
+            pr, rm_r, add_r = p[r, None], rm[r, None], add[r, None]
+            at = self._offsets[pr] + np.arange(self._degree)
+            pad = at >= self._offsets[pr + 1]
+            at[pad] = 0
+            gained = np.where(pad, -1, labels[self._opps[at]]) == add_r
+            inc = self._ranks[at] if low else e - 1 - self._ranks[at]
+            lost = (u == pr) & (lab_v == rm_r) | (v == pr) & (lab_u == rm_r)
+            cand = np.concatenate([np.where(lost, e, key), np.where(gained, inc, e)], axis=1)
+            cand = np.partition(cand, t - 1, axis=1)[:, :t]
+            cand.sort(axis=1)
+            pick[r] = cand
+        vals = np.append(self._w if low else self._w[::-1], np.nan)[pick]
+        if spec.delta is None:
+            return vals[:, 0]
+        # owa.aggregate's dot over the min(t, z) extremes, one row at a time
+        # (a matrix product may add in another order)
+        out, m = np.full(len(p), np.nan), (pick < e).sum(axis=1)
+        for size in np.unique(m[m > 0]).tolist():
+            w, rows = owa.smooth_extreme_weights(spec.delta, size), np.flatnonzero(m == size)
+            out[rows] = [np.dot(w, row) for row in vals[rows, :size]]
+        return out
+
     def scan_cross(self, kind: str, labels: np.ndarray):
         """``aggregate`` of a Min or Max cross side after every move of each
         point, as (n,) weights, NaN where the side ends empty, on the
@@ -454,7 +517,10 @@ class _ClusterStatsEvaluator(CVIEvaluator):
       ``_EdgeSplit`` of the MST; a peek lists its edge flips in ``flips``;
     - ``bmax``: k x k block distance maxima, off-diagonal blocks for
       ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``; each
-      has a witness pair in ``self._wit`` (a peek lists new ones in ``new_wit``);
+      has a witness pair in ``self._wit`` (a peek lists new ones in
+      ``new_wit``).  They are read off the n x k farthest-point matrix
+      ``self._far``: ``_far[p, j]`` is the largest distance from p to a
+      member of cluster j;
     - ``bsum``: k x k block distance sums (the diagonal counts each pair twice);
     - ``t``/``sdc``: per-cluster point sums and distance-to-centroid sums.
 
@@ -488,8 +554,9 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             st["bmax"] = np.zeros((k, k))
             st["new_wit"] = []
             self._wit = np.full((k, k, 2), -1, dtype=np.int64)
+            self._far = self._dp.cluster_maxima(self._labels, k)
             for i, j in zip(*np.nonzero(np.triu(track))):
-                self._rescan(st, i, j, self._mem[i], self._mem[j])
+                self._rescan(st, i, j, self._mem[i])
             self._adopt_witnesses(st.pop("new_wit"))
 
     def _refresh(self, rows) -> None:
@@ -509,10 +576,27 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             if "sdc" in st:
                 st["sdc"][r] = _sum_to_centroid(self._pts[mem[r]], st["t"][r])
 
-    def _rescan(self, st: dict, i: int, j: int, mem_i: np.ndarray, mem_j: np.ndarray) -> None:
-        block = self._dp.sub(mem_i, mem_j)
-        u, v = divmod(int(block.argmax()), block.shape[1])
-        st["bmax"][i, j] = st["bmax"][j, i] = block[u, v]
+    def _rescan(self, st: dict, i: int, j: int, mem_i: np.ndarray, gone: int | None = None) -> None:
+        """Maximum and witness of block (i, j), read off ``_far``.  ``mem_i``
+        holds the members of i, or, with ``gone``, those less that point;
+        j is then i or a cluster that keeps its members.  The witness is the
+        block's first maximum in row-major order: the first row whose
+        farthest point reaches it."""
+        far = self._far[mem_i, j]
+        mem_j = mem_i if j == i else self._mem[j]
+        if gone is not None and j == i:
+            # rows whose farthest was the gone point drop to their farthest
+            # in mem_i, at most their old value; recompute only those that
+            # could still reach the largest of the other rows
+            stale = far == self._dp.row(gone)[mem_i]
+            top = far[~stale].max(initial=-_INF)
+            redo = np.flatnonzero(stale & (far >= top))
+            far[stale] = -_INF
+            for rows in row_blocks(redo, len(mem_i)):
+                far[rows] = self._dp.sub(mem_i[rows], mem_i).max(axis=1)
+        u = int(far.argmax())
+        v = int(self._dp.sub(mem_i[u : u + 1], mem_j)[0].argmax())
+        st["bmax"][i, j] = st["bmax"][j, i] = far[u]
         st["new_wit"].append((i, j, mem_i[u], mem_j[v]))
 
     def _adopt_witnesses(self, new_wit: list) -> None:
@@ -544,21 +628,19 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             st["cross"] = self._mst.aggregate(_MIN, 0, to_within, to_cross)
         if "bmax" in st:
             # a block of a changes only if p witnessed its maximum; a block
-            # of b can only grow, by p's distances to the other side (d(p, p)
-            # = 0, so pre-move member sets give the same maxima)
+            # (b, j) can only grow, to p's farthest point in j (d(p, p) = 0,
+            # so pre-move member sets give the same maxima)
             bmax = st["bmax"] = st["bmax"].copy()
             st["new_wit"] = []
             if self._witness[p]:
                 rest = mem[a][mem[a] != p]
                 for j in self._track[a]:
                     if p in self._wit[a, j]:
-                        self._rescan(st, a, j, rest, rest if j == a else mem[j])
+                        self._rescan(st, a, j, rest, p)
             for j in self._track[b]:
-                far = row[mem[j]]
-                i = int(far.argmax())
-                if far[i] > bmax[b, j]:
-                    bmax[b, j] = bmax[j, b] = far[i]
-                    st["new_wit"].append((b, j, p, mem[j][i]))
+                if self._far[p, j] > bmax[b, j]:
+                    bmax[b, j] = bmax[j, b] = self._far[p, j]
+                    st["new_wit"].append((b, j, p, mem[j][int(row[mem[j]].argmax())]))
         if "bsum" in st:
             rbc = np.bincount(self._labels, weights=row, minlength=self._k)
             old = st["bsum"]
@@ -591,6 +673,13 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         if "bmax" in self._st:
             self._adopt_witnesses(self._moved["new_wit"])
         self._refresh((m.src, m.dst))
+        if "bmax" in self._st:
+            # p joins b; in a, only the points whose farthest was p change
+            far, row, mem = self._far, self._dp.row(m.point), self._mem[m.src]
+            lost = np.flatnonzero(far[:, m.src] == row)
+            far[:, m.dst] = np.maximum(far[:, m.dst], row)
+            for rows in row_blocks(lost, len(mem)):
+                far[rows, m.src] = self._dp.sub(rows, mem).max(axis=1)
 
 
 def _davies_bouldin(sdc: np.ndarray, t: np.ndarray, sizes: np.ndarray):
@@ -681,7 +770,11 @@ _COMPACTNESSES = {
 
 
 class GDunnEvaluator(_ClusterStatsEvaluator):
-    """All 15 GDunn variants: one separation over one compactness."""
+    """All 15 GDunn variants: one separation over one compactness.
+
+    d1 and d2 over D1 read only exact minima and maxima of distances, and
+    scan with the farthest-point matrix; the others peek each move.
+    """
 
     def _init_state(self) -> None:
         sep_needs, self._separation = _SEPARATIONS[self.spec.d_variant]
@@ -689,6 +782,33 @@ class GDunnEvaluator(_ClusterStatsEvaluator):
         self.needs = frozenset(sep_needs | comp_needs)
         self._iu = np.triu_indices(self._k, 1)
         super()._init_state()
+
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        if not self.needs <= {"cross", "bmax_off", "bmax_diag"}:
+            return super()._scan(points, targets)
+        # a move p: a -> j of a point that witnesses no block maximum keeps
+        # every block of a, and block (j, i) becomes max(bmax[j, i], far[p, i]),
+        # i = a and i = j included; the witnesses' moves are peeked, and so
+        # are, for d1, the two moves that remove the smallest cross edge
+        bmax, far = self._st["bmax"], self._far[points]
+        diameter = bmax.diagonal().max()
+        out = np.full((len(points), self._k), -_INF)
+        redo = []
+        if "cross" in self.needs:
+            num, redo = self._mst.scan_cross("Min", self._labels)
+            num = num[points]
+        for j in targets:
+            if "cross" not in self.needs:
+                grown = np.maximum(bmax[j], far)
+                grown[:, j] = _INF
+                apart = (self._iu[0] != j) & (self._iu[1] != j)  # blocks not touching j
+                num = np.minimum(grown.min(axis=1), bmax[self._iu][apart].min(initial=_INF))
+            den = np.maximum(diameter, far[:, j])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[:, j] = np.where(den <= 0.0, _INF, num / den)
+        witnesses = points[self._witness[points]].tolist()
+        self._peek_cells(out, points, targets, [(p, j) for p in witnesses for j in targets] + redo)
+        return out
 
     def _value_of(self, st: dict, sizes: np.ndarray) -> float:
         num = float(self._separation(st, sizes, self._iu))
@@ -722,17 +842,30 @@ class DuNNEvaluator(CVIEvaluator):
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
-        # vectorised for a Min or Max separation over a Const compactness,
-        # whose value is the separation; the others run the _peek loop
-        kind = self.spec.owa_s.kind
-        if kind not in ("Min", "Max") or not self.spec.owa_c.is_const:
+        # _value_for over the side scans of every valid move; a Min or Max
+        # separation over a Const compactness, whose value is the
+        # separation, reads scan_cross; a Mean runs the _peek loop
+        sep, comp, lab = self.spec.owa_s, self.spec.owa_c, self._labels
+        if "Mean" in (sep.kind, comp.kind):
             return super()._scan(points, targets)
-        lab = self._labels
-        num, redo = self._split.scan_cross(kind, lab)
-        # _value_for: no cross edges left is +inf
-        out = np.repeat(np.where(np.isnan(num), _INF, num)[points, None], self._k, axis=1)
-        for p, j in redo:
-            out[points == p, j] = self._peek(Move(p, int(lab[p]), j))
+        if sep.kind in ("Min", "Max") and comp.is_const:
+            num, redo = self._split.scan_cross(sep.kind, lab)
+            out = np.repeat(np.where(np.isnan(num), _INF, num)[points, None], self._k, axis=1)
+            self._peek_cells(out, points, targets, redo)
+            return out
+        # a move of p from a to j: the cross side loses p's edges into j and
+        # gains those into a, the within side the reverse
+        src = lab[points]
+        valid = (self._sizes[src] >= 2)[:, None] & (np.arange(self._k) != src[:, None])
+        r, j = np.nonzero(valid & np.isin(np.arange(self._k), list(targets)))
+        p, a = points[r], src[r]
+        num = self._split.scan_side(sep, 0, lab, p, j, a)
+        den = self._split.scan_side(comp, 1, lab, p, a, j)
+        out = np.full((len(points), self._k), -_INF)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[r, j] = np.where(den <= 0.0, _INF, num / den)
+        out[r[np.isnan(den)], j[np.isnan(den)]] = -_INF  # no within edges
+        out[r[np.isnan(num)], j[np.isnan(num)]] = _INF  # no cross edges
         return out
 
 

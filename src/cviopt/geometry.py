@@ -74,6 +74,19 @@ class DistanceProvider:
             out[lo : lo + m] = np.bincount(keys[: m * n], block.ravel(), m * k).reshape(m, k)
         return out
 
+    def cluster_maxima(self, labels: np.ndarray, k: int) -> np.ndarray:
+        """(n, k) largest distance from each point to a member of every
+        cluster (each nonempty), in the row blocks of ``cluster_sums``."""
+        n = self._ds.n
+        step = max(1, _BLOCK_CELLS // n)
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(k))
+        out = np.empty((n, k))
+        for lo in range(0, n, step):
+            block = self.rows(slice(lo, lo + step))[:, order]
+            out[lo : lo + len(block)] = np.maximum.reduceat(block, starts, axis=1)
+        return out
+
     def sub(self, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
         """Distance block between two index sets."""
         if self._mat is not None:

@@ -258,8 +258,8 @@ def _ingest_candidate_files(
     for path in paths:
         ext = dataio.load_labels(path, ds.n)
         internal = resolve_noise(ds, ext)
-        if internal.max() + 1 != k:
-            continue  # candidate for a different cardinality
+        if not np.array_equal(np.unique(internal), np.arange(k)):
+            continue  # a different cardinality, or a gap in the labels
         out.append(from_labels(internal, k))
     return out
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from conftest import apply_move, enumerate_moves, iter_moves, make_dataset, random_surjective_labels
 from cviopt import cvi, dataio, geometry
@@ -141,25 +142,108 @@ def coarse_grid(rng, n, d):
             return dataio.Dataset(pts[rng.permutation(len(pts))[:n]].astype(float))
 
 
+def duplicate_points(rng, n, d):
+    """Raw points drawn from a few grid sites: many exact duplicates, and
+    points 0 and 1 always coincide."""
+    sites = rng.integers(0, 4, size=(max(2, n // 4), d)).astype(float)
+    pick = rng.integers(0, len(sites), size=n)
+    pick[1] = pick[0]
+    return dataio.Dataset(sites[pick])
+
+
+# the farthest-point scans of GDunn and the side scans of DuNN: a smooth
+# separation over every kind of compactness; with M = 3 a side often holds
+# fewer than 3 delta edges (12 for SMin:4 and SMax:4)
+EXTREME_SCAN_SPECS = ["GDunn_d1_D1", "GDunn_d2_D1"] + [
+    f"DuNN_3_{sep}_{comp}"
+    for sep in ("SMin:4", "SMax:2")
+    for comp in ("Min", "Max", "Const", "SMin:3", "SMax:4")
+]
+
+
 @pytest.mark.parametrize(
     "limit, cells", [(10**6, None), (10**6, 64), (8, 64)], ids=("dense", "blocks", "on_demand")
 )
 @pytest.mark.parametrize(
-    "text", ["Silhouette", "SilhouetteW", "DaviesBouldin", "BallHall", "CalinskiHarabasz", "WCNN_5"]
+    "text",
+    ["Silhouette", "SilhouetteW", "DaviesBouldin", "BallHall", "CalinskiHarabasz", "WCNN_5"]
+    + EXTREME_SCAN_SPECS,
 )
 def test_block_scan_equals_peek(text, limit, cells, monkeypatch):
     # the scan kernels at d >= 8 (where np.linalg.norm and sums over d add
     # pairwise), at k = 5 (the least over the untouched clusters), in row
-    # blocks split many times, and on on-demand distance rows
+    # blocks split many times, and on on-demand distance rows; the
+    # farthest-point and side scans also on raw duplicate points
     monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
     if cells is not None:
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
     spec = parse_spec(text)
     rng = np.random.default_rng(zlib.crc32(text.encode()))
+    makes = (make_dataset, coarse_grid) + ((duplicate_points,) if text in EXTREME_SCAN_SPECS else ())
     for d, k in ((8, 2), (12, 3), (2, 5)):
-        for make in (make_dataset, coarse_grid):
+        for make in makes:
             ds = make(rng, int(rng.integers(25, 40)), d)
             assert_scans_equal_peeks(spec, ds, k, rng, 9, f"{text} d={d} k={k}")
+
+
+@pytest.mark.parametrize("limit, cells", [(10**6, None), (8, 64)], ids=("dense", "on_demand"))
+@pytest.mark.parametrize("text", ["GDunn_d1_D1", "GDunn_d2_D1", "GDunn_d2_D3"])
+def test_farthest_point_matrix_equals_recompute(text, limit, cells, monkeypatch):
+    # from init (built in row blocks) and after every commit, _far[p, j] is
+    # the largest distance from p to a member of j, and every tracked block
+    # maximum has a witness pair in its two clusters at that distance
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
+    if cells is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+    spec = parse_spec(text)
+    rng = np.random.default_rng(zlib.crc32(b"far " + text.encode()))
+    for make in (make_dataset, coarse_grid, duplicate_points):
+        n, k = int(rng.integers(20, 40)), int(rng.integers(2, 5))
+        ds = make(rng, n, int(rng.integers(1, 4)))
+        dist = cdist(ds.points, ds.points)
+        ev = make_evaluator(spec, ds, from_labels(random_surjective_labels(rng, n, k), k))
+        for _ in range(40):
+            lab = ev.labels
+            full = np.stack([dist[:, lab == j].max(axis=1) for j in range(k)], axis=1)
+            assert (ev._far == full).all()
+            for i, cols in enumerate(ev._track):
+                for j in cols:
+                    u, v = ev._wit[i, j]
+                    assert (lab[u], lab[v]) == (i, j)
+                    assert dist[u, v] == ev._st["bmax"][i, j] == dist[lab == i][:, lab == j].max()
+            moves = list(iter_moves(lab, ev.sizes, k))
+            ev.commit(moves[int(rng.integers(len(moves)))])
+
+
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_commit_reuses_only_the_last_peek_of_its_move(text):
+    # commit(m) takes the value (and GDunn's statistics) of peek(m) when
+    # that was the last peek, scan or commit; after peek(m) and scan(), or
+    # peek(m), scan() and peek(m2), it recomputes m; either way the value
+    # matches the definition
+    spec = parse_spec(text)
+    rng = np.random.default_rng(zlib.crc32(b"reuse " + text.encode()))
+    ds = make_dataset(rng, 24, 2)
+    ev = make_evaluator(spec, ds, from_labels(random_surjective_labels(rng, 24, 3), 3))
+    peeked = []
+    peek = ev._peek
+    ev._peek = lambda m: peeked.append(m) or peek(m)
+    for step in range(12):
+        moves = list(iter_moves(ev.labels, ev.sizes, ev.k))
+        m, other = (moves[i] for i in rng.permutation(len(moves))[:2])
+        value = ev.peek(m)
+        if step % 3:
+            ev.scan()
+        if step % 3 == 2:
+            ev.peek(other)
+        calls = len(peeked)
+        ev.commit(m)
+        if step % 3:
+            assert len(peeked) == calls + 1 and peeked[-1] == m  # recomputed
+        else:
+            assert len(peeked) == calls  # reused
+        assert ev.value() == value
+        assert close(value, cvi.evaluate(spec, ds, ev.partition())), f"{text} step {step}"
 
 
 def test_make_evaluator_matches_full(x4):
@@ -261,15 +345,6 @@ def test_on_demand_distances_match_full_recompute(text, monkeypatch):
     # above the dense limit every distance comes from on-demand rows
     monkeypatch.setattr(geometry, "DENSE_LIMIT", 8)
     walk_matches_full_recompute(parse_spec(text), np.random.default_rng(len(text)))
-
-
-def duplicate_points(rng, n, d):
-    """Raw points drawn from a few grid sites: many exact duplicates, and
-    points 0 and 1 always coincide."""
-    sites = rng.integers(0, 4, size=(max(2, n // 4), d)).astype(float)
-    pick = rng.integers(0, len(sites), size=n)
-    pick[1] = pick[0]
-    return dataio.Dataset(sites[pick])
 
 
 @pytest.mark.parametrize("limit", (10**6, 8), ids=("dense", "on_demand"))

@@ -234,6 +234,25 @@ def test_optimise_dataset_skips_wrong_cardinality_files(x4, tmp_path):
     assert evaluate(parse_spec("CalinskiHarabasz"), x4, best) == pytest.approx(200.0)
 
 
+def test_optimise_dataset_skips_files_with_a_label_gap(x4, tmp_path):
+    # labels {1, 3} have the right maximum for k = 3 but leave cluster 2 empty
+    cand_dir = tmp_path / "cands"
+    cand_dir.mkdir()
+    (cand_dir / "gap.labels").write_text("1\n1\n3\n3\n")
+    (cand_dir / "k3.labels").write_text("1\n2\n3\n3\n")
+    best, trace = optimise_dataset(
+        parse_spec("CalinskiHarabasz"),
+        x4,
+        3,
+        external_candidate_dirs=[str(cand_dir)],
+        n_random=0,
+        n_vantage=0,
+        kmeans_restarts=0,
+    )
+    assert trace.candidate_count == 1
+    assert best.k == 3
+
+
 def test_minus_inf_candidates_sort_last_but_still_work():
     rng = np.random.default_rng(2)
     ds = make_dataset(rng, 12, 2)

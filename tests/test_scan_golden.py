@@ -1,0 +1,79 @@
+"""Exact ``scan()`` values on fixed small inputs, pinned bit for bit.
+
+Most evaluators read ``peek`` as a cell of their ``scan``, so comparing
+the two checks a formula against itself; this table pins the bits of
+every move formula instead, at d = 2 and at d >= 8 (where sums over the
+coordinates may be added in another order).  ``tests/data/scan_golden.json``
+holds ``float.hex`` of each cell; regenerate it, only for a deliberate
+change of the numbers, with ``PYTHONPATH=src python tests/test_scan_golden.py``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cviopt import dataio
+from cviopt.cvi import make_evaluator, parse_spec
+from cviopt.partition import Move, from_labels
+
+TABLE = Path(__file__).with_name("data") / "scan_golden.json"
+
+SPECS = [
+    "BallHall",
+    "CalinskiHarabasz",
+    "WCNN_3",
+    "Silhouette",
+    "SilhouetteW",
+    "DaviesBouldin",
+    "GDunn_d1_D1",
+    "GDunn_d2_D1",
+    "GDunn_d3_D2",
+    "GDunn_d5_D3",
+    "DuNN_4_Min_Const",
+    "DuNN_4_SMin:2_Max",
+    "DuNN_4_SMax:1_SMin:2",
+    "DuNN_3_Mean_Mean",
+]
+# (seed, n, d, k): the datasets, each with a random start
+CASES = [(1, 12, 2, 3), (2, 11, 9, 2), (3, 12, 12, 4)]
+COMMITS = 2
+
+
+def scans(text: str, seed: int, n: int, d: int, k: int) -> list[str]:
+    """The ``scan()`` of the start and after ``COMMITS`` commits of moves
+    drawn from the labels alone, each as space-separated hex cells."""
+    rng = np.random.default_rng(seed)
+    ds = dataio.Dataset(rng.normal(size=(n, d)))
+    labels = np.arange(n) % k
+    rng.shuffle(labels)
+    ev = make_evaluator(parse_spec(text), ds, from_labels(labels, k))
+    out = [ev.scan()]
+    for _ in range(COMMITS):
+        lab, sizes = ev.labels, ev.sizes
+        movable = np.flatnonzero(sizes[lab] >= 2)
+        p = int(movable[rng.integers(len(movable))])
+        j = int((lab[p] + 1 + rng.integers(k - 1)) % k)
+        ev.commit(Move(p, int(lab[p]), j))
+    out.append(ev.scan())
+    return [" ".join(float.hex(float(x)) for x in s.ravel()) for s in out]
+
+
+def key(text: str, case) -> str:
+    return f"{text} seed={case[0]} n={case[1]} d={case[2]} k={case[3]}"
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_scan_values_match_the_golden_table(text):
+    table = json.loads(TABLE.read_text())
+    for case in CASES:
+        assert scans(text, *case) == table[key(text, case)], key(text, case)
+
+
+if __name__ == "__main__":
+    TABLE.parent.mkdir(exist_ok=True)
+    table = {key(t, c): scans(t, *c) for t in SPECS for c in CASES}
+    TABLE.write_text(json.dumps(table, indent=0) + "\n")
