@@ -35,6 +35,25 @@ def random_surjective_labels(rng: np.random.Generator, n: int, k: int) -> np.nda
             return labels
 
 
+def coarse_grid(rng, n, d):
+    """Distinct points of a small integer grid drawn without listing it, so
+    that it serves any d: many equal distances."""
+    side = max(3, int(np.ceil((4 * n) ** (1 / d))))
+    while True:
+        pts = np.unique(rng.integers(0, side, size=(2 * n, d)), axis=0)
+        if len(pts) >= n:
+            return dataio.Dataset(pts[rng.permutation(len(pts))[:n]].astype(float))
+
+
+def duplicate_points(rng, n, d):
+    """Raw points drawn from a few grid sites: many exact duplicates, and
+    points 0 and 1 always coincide."""
+    sites = rng.integers(0, 4, size=(max(2, n // 4), d)).astype(float)
+    pick = rng.integers(0, len(sites), size=n)
+    pick[1] = pick[0]
+    return dataio.Dataset(sites[pick])
+
+
 # ---------------------------------------------------------------------------
 # partitions as values: the moves the evaluators make in place, made on copies
 

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from conftest import apply_move, enumerate_moves, iter_moves, make_dataset, random_surjective_labels
+from conftest import (
+    apply_move,
+    coarse_grid,
+    duplicate_points,
+    enumerate_moves,
+    iter_moves,
+    make_dataset,
+    random_surjective_labels,
+)
 from cviopt import cvi, dataio, geometry
 from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
 from cviopt.errors import InvalidMoveError
@@ -130,25 +138,6 @@ def test_scan_of_some_points_and_targets_equals_full_scan(text):
                 valid = (src[:, None] != targets) & (ev.sizes[src] >= 2)[:, None]
                 part = ev._scan(points, targets)[:, targets]
                 assert (part[valid] == full[points][:, targets][valid]).all(), f"{text} {size}"
-
-
-def coarse_grid(rng, n, d):
-    """Distinct points of a small integer grid drawn without listing it, so
-    that it serves any d: many equal distances."""
-    side = max(3, int(np.ceil((4 * n) ** (1 / d))))
-    while True:
-        pts = np.unique(rng.integers(0, side, size=(2 * n, d)), axis=0)
-        if len(pts) >= n:
-            return dataio.Dataset(pts[rng.permutation(len(pts))[:n]].astype(float))
-
-
-def duplicate_points(rng, n, d):
-    """Raw points drawn from a few grid sites: many exact duplicates, and
-    points 0 and 1 always coincide."""
-    sites = rng.integers(0, 4, size=(max(2, n // 4), d)).astype(float)
-    pick = rng.integers(0, len(sites), size=n)
-    pick[1] = pick[0]
-    return dataio.Dataset(sites[pick])
 
 
 # the farthest-point scans of GDunn and the side scans of DuNN: a smooth

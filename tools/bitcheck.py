@@ -1,7 +1,7 @@
 """Compare the incremental evaluators of a git revision with the working
 tree's, bit for bit.
 
-    PYTHONPATH=src python tools/bitcheck.py REV [--quick]
+    PYTHONPATH=src python tools/bitcheck.py REV
 
 Loads ``git show REV:src/cviopt/cvi/evaluators.py`` as a module beside the
 current ``cviopt.cvi.evaluators`` (its relative imports resolve to the
@@ -14,10 +14,11 @@ with ``==``, after each of a few random commits:
 - ``value()``, after commits made with and without a prior ``peek`` of
   the move, and after a ``peek`` followed by a ``scan()``.
 
-The datasets are Gaussian, a coarse integer grid (many tied distances)
-and raw duplicate points, at d in {1, 2, 8, 12} and k in {2, 3, 5}; each
-runs once on the dense distance matrix with the default row blocks and
-once on on-demand rows with 64-cell blocks.  Prints the cell count per
+The datasets come from the test suite's generators in
+``tests/conftest.py``: Gaussian, a coarse integer grid (many tied
+distances) and raw duplicate points, at d in {1, 2, 8, 12} and k in
+{2, 3, 5}; each runs once on the dense distance matrix with the default
+row blocks and once on on-demand rows with 64-cell blocks.  Prints the cell count per
 spec; exits 1 on any mismatch.
 """
 
@@ -28,12 +29,16 @@ import importlib.util
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 
-from cviopt import dataio, geometry
+from cviopt import geometry
 from cviopt.cvi import evaluators, parse_spec
-from cviopt.partition import Move, from_labels
+from cviopt.partition import from_labels
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import coarse_grid, duplicate_points, iter_moves, make_dataset  # noqa: E402
 
 SPECS = [
     "BallHall",
@@ -75,33 +80,6 @@ def load_revision(rev: str):
     return module
 
 
-def gaussian(rng, n, d):
-    return rng.normal(size=(n, d))
-
-
-def grid(rng, n, d):
-    side = max(3, int(np.ceil((4 * n) ** (1 / d))))
-    while True:
-        pts = np.unique(rng.integers(0, side, size=(2 * n, d)), axis=0)
-        if len(pts) >= n:
-            return pts[rng.permutation(len(pts))[:n]].astype(float)
-
-
-def duplicates(rng, n, d):
-    sites = rng.integers(0, 4, size=(max(2, n // 4), d)).astype(float)
-    return sites[rng.integers(0, len(sites), size=n)]
-
-
-def valid_moves(ev):
-    lab, sizes = ev.labels, ev.sizes
-    return [
-        Move(p, int(lab[p]), j)
-        for p in np.flatnonzero(sizes[lab] >= 2).tolist()
-        for j in range(ev.k)
-        if j != lab[p]
-    ]
-
-
 def compare(old_ev, new_ev, rng, commits: int) -> tuple[int, int]:
     """(cells compared, mismatches) along one walk of random commits."""
     cells = bad = 0
@@ -115,7 +93,7 @@ def compare(old_ev, new_ev, rng, commits: int) -> tuple[int, int]:
     for step in range(commits + 1):
         check(old_ev.value(), new_ev.value())
         check(old_ev.scan(), new_ev.scan())
-        moves = valid_moves(new_ev)
+        moves = list(iter_moves(new_ev.labels, new_ev.sizes, new_ev.k))
         check([old_ev.peek(m) for m in moves], [new_ev.peek(m) for m in moves])
         if step == commits:
             break
@@ -133,10 +111,8 @@ def compare(old_ev, new_ev, rng, commits: int) -> tuple[int, int]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
-    ap.add_argument("--quick", action="store_true", help="d in {2, 8}, k in {2, 3} only")
     args = ap.parse_args(argv)
     old = load_revision(args.rev)
-    dims, ks = ((2, 8), (2, 3)) if args.quick else ((1, 2, 8, 12), (2, 3, 5))
     modes = [(geometry.DENSE_LIMIT, geometry._BLOCK_CELLS), (8, 64)]
     total = total_bad = 0
     for text in SPECS:
@@ -145,10 +121,10 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(zlib.crc32(text.encode()))
         for limit, block in modes:
             geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = limit, block
-            for make in (gaussian, grid, duplicates):
-                for d in dims:
-                    for k in ks:
-                        ds = dataio.Dataset(make(rng, int(rng.integers(30, 70)), d))
+            for make in (make_dataset, coarse_grid, duplicate_points):
+                for d in (1, 2, 8, 12):
+                    for k in (2, 3, 5):
+                        ds = make(rng, int(rng.integers(30, 70)), d)
                         near_singletons = np.minimum(np.arange(ds.n), k - 1)
                         random = np.arange(ds.n) % k
                         rng.shuffle(random)
