@@ -102,6 +102,11 @@ class RunConfig:
         cfg = cls(**raw)
         if cfg.patience < 1:
             raise ConfigError("patience must be >= 1")
+        for key in ("n_random", "n_vantage", "kmeans_restarts"):
+            if getattr(cfg, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
+        if cfg.n_vantage > 0 and cfg.vantage_v < 1:
+            raise ConfigError("vantage_v must be >= 1 when n_vantage > 0")
         if not os.path.isdir(cfg.battery_root):
             raise ConfigError(f"battery root {cfg.battery_root!r} is not a directory")
         for s in cfg.specs:
@@ -180,8 +185,28 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[dict]:
-    """All records for one (dataset, spec) pair; failures become rows."""
+def _set_up(
+    cfg: RunConfig, dataset_id: str, setups: dict
+) -> tuple[dataio.Dataset, dataio.ReferenceSet | None]:
+    """The preprocessed dataset and its references.  ``setups`` keeps the
+    dataset set up last, so the jobs of one dataset, which run one after
+    another, share one ``Dataset`` and with it its cached distances, kNN
+    graphs and EMST; a dataset that fails to load is tried again by each
+    of its jobs."""
+    if dataset_id in setups:
+        return setups[dataset_id]
+    data_path, _ = battery_paths(cfg.battery_root, dataset_id)
+    raw = dataio.load_dataset(data_path)
+    ds = dataio.preprocess(raw, derived_seed(cfg.seed, dataset_id, "preprocess"))
+    setup = ds, load_reference_set(cfg.battery_root, dataset_id, ds.n)
+    setups.clear()  # one dataset at a time bounds the memory held
+    setups[dataset_id] = setup
+    return setup
+
+
+def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set, setups: dict) -> list[dict]:
+    """All records for one (dataset, spec) pair; failures become rows.
+    Jobs given the same ``setups`` dict share their dataset's set-up."""
     rows: list[dict] = []
     spec = parse_spec(spec_str)
 
@@ -192,10 +217,7 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set) -> list[d
         return base
 
     try:
-        data_path, _ = battery_paths(cfg.battery_root, dataset_id)
-        raw = dataio.load_dataset(data_path)
-        ds = dataio.preprocess(raw, derived_seed(cfg.seed, dataset_id, "preprocess"))
-        refs = load_reference_set(cfg.battery_root, dataset_id, ds.n)
+        ds, refs = _set_up(cfg, dataset_id, setups)
     except Exception as exc:
         return [row(k="", status="failed", message=_failure(exc))]
 
@@ -307,8 +329,12 @@ def _write_records(path: str, rows: list[dict]) -> None:
     os.replace(tmp, path)
 
 
+#: a pool worker's set-ups: a worker lives for one ``run_benchmark`` call
+_worker_setups: dict = {}
+
+
 def _job_entry(cfg_dict: dict, dataset_id: str, spec_str: str, done: set) -> list[dict]:
-    return run_job(RunConfig(**cfg_dict), dataset_id, spec_str, done)
+    return run_job(RunConfig(**cfg_dict), dataset_id, spec_str, done, _worker_setups)
 
 
 def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
@@ -346,6 +372,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     done = {(r["dataset"], r["method"], str(r["k"])) for r in all_rows if r["status"] == "ok"}
 
     _write_records(records_path, all_rows)
+    setups: dict = {}
     with open(records_path, "at", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
 
@@ -357,7 +384,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
 
         if cfg.jobs <= 1:
             for d, s in jobs:
-                record(run_job(cfg, d, s, done))
+                record(run_job(cfg, d, s, done, setups))
         else:
             cfg_dict = asdict(cfg)
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

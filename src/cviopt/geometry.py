@@ -114,19 +114,21 @@ def emst(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if cached is not None:
         return cached
     dp, n = DistanceProvider(ds), ds.n
-    rest = np.arange(1, n)  # points outside the tree, in index order
-    near = dp.row(0)[1:].copy()  # their distance to the tree
-    via = np.zeros(n - 1, dtype=np.int64)  # the tree point at that distance
+    outside = np.ones(n, dtype=bool)  # points not yet in the tree
+    outside[0] = False
+    near = dp.row(0).copy()  # each point's distance to the tree, +inf once in it
+    near[0] = np.inf
+    via = np.zeros(n, dtype=np.int64)  # the tree point at that distance
     u, v, w = np.empty(n - 1, dtype=np.int64), np.empty(n - 1, dtype=np.int64), np.empty(n - 1)
     for t in range(n - 1):
-        i = int(np.argmin(near))
-        p = int(rest[i])
-        u[t], v[t], w[t] = min(via[i], p), max(via[i], p), near[i]
-        rest, near, via = np.delete(rest, i), np.delete(near, i), np.delete(via, i)
-        row = dp.row(p)[rest]
-        closer = row < near
-        near[closer] = row[closer]
-        via[closer] = p
+        p = int(np.argmin(near))
+        u[t], v[t], w[t] = min(via[p], p), max(via[p], p), near[p]
+        outside[p] = False
+        near[p] = np.inf
+        row = dp.row(p)
+        closer = (row < near) & outside
+        np.copyto(near, row, where=closer)
+        np.copyto(via, p, where=closer)
     order = np.lexsort((v, u))
     result = (u[order], v[order], w[order])
     for arr in result:

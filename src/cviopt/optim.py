@@ -106,45 +106,81 @@ def vantage_point_partition(
     )
 
 
+def _repair_empty(pts: np.ndarray, labels: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """Fill each empty cluster, in place, with the point of the largest
+    cluster farthest from its centroid; returns the new sizes."""
+    for empty in np.flatnonzero(sizes == 0):
+        donor = int(sizes.argmax())
+        mem = np.flatnonzero(labels == donor)
+        mu = pts[mem].mean(axis=0)
+        far = mem[int(((pts[mem] - mu) ** 2).sum(axis=1).argmax())]
+        labels[far] = empty
+        sizes = np.bincount(labels, minlength=k)
+    return sizes
+
+
 def lloyd_kmeans(
     ds: Dataset, k: int, restarts: int = 10, rng=None, max_iter: int = 300
 ) -> Partition:
     """Best-of-restarts Lloyd iteration; empty clusters are repaired by
-    splitting the largest cluster at its point farthest from the centroid."""
+    splitting the largest cluster at its point farthest from the centroid.
+
+    The restarts iterate in lockstep, each as it would alone: an iteration
+    makes one distance table, label pass and size count for every restart
+    whose labels still change, and a restart stops when they repeat or
+    after ``max_iter`` iterations.  A point joins its nearest centre, the
+    first on ties, and a centre is the mean of its members added in point
+    order (a per-cluster ``mean`` at d = 1, where numpy sums pairwise).
+    """
     if k < 2:
         raise ParameterError("need k >= 2")
     if k > ds.n:
         raise ParameterError(f"cannot split {ds.n} points into {k} clusters")
+    if restarts < 1 or max_iter < 1:
+        raise ParameterError("need restarts >= 1 and max_iter >= 1")
     rng = np.random.default_rng(rng)
-    pts = ds.points
+    pts, n, d = ds.points, ds.n, ds.d
+    centers = np.stack([pts[rng.choice(n, size=k, replace=False)] for _ in range(restarts)])
+    labels = np.empty((restarts, n), dtype=np.int64)
+    live = np.arange(restarts)
+    for it in range(max_iter):
+        L = len(live)
+        dist = cdist(centers[live].reshape(L * k, d), pts, "sqeuclidean").reshape(L, k, n)
+        new = np.zeros((L, n), dtype=np.int64)
+        near = dist[:, 0].copy()
+        for j in range(1, k):  # labels grow with j: a maximum sets them where j is nearer
+            closer = dist[:, j] < near
+            np.minimum(near, dist[:, j], out=near)
+            np.maximum(new, closer * j, out=new)
+        offsets = np.arange(L)[:, None] * k
+        sizes = np.bincount((new + offsets).ravel(), minlength=L * k).reshape(L, k)
+        for r in np.flatnonzero(sizes.min(axis=1) == 0):
+            sizes[r] = _repair_empty(pts, new[r], sizes[r], k)
+        if it:
+            moved = (new != labels[live]).any(axis=1)
+            live, new, sizes = live[moved], new[moved], sizes[moved]
+            if not live.size:
+                break
+        labels[live] = new
+        if d == 1:
+            for r, lab in zip(live, new):
+                for j in range(k):
+                    centers[r, j] = pts[lab == j].mean(axis=0)
+        else:
+            keys = (new + offsets[: len(live)]).ravel()
+            for c in range(d):
+                sums = np.bincount(keys, weights=np.tile(pts[:, c], len(live)), minlength=sizes.size)
+                centers[live, :, c] = sums.reshape(-1, k) / sizes
     best_labels = None
     best_wcss = np.inf
-    for _ in range(restarts):
-        centers = pts[rng.choice(ds.n, size=k, replace=False)].copy()
-        labels = None
-        for _ in range(max_iter):
-            d2 = cdist(pts, centers, "sqeuclidean")
-            new_labels = d2.argmin(axis=1)
-            sizes = np.bincount(new_labels, minlength=k)
-            for empty in np.flatnonzero(sizes == 0):
-                donor = int(sizes.argmax())
-                mem = np.flatnonzero(new_labels == donor)
-                mu = pts[mem].mean(axis=0)
-                far = mem[int(((pts[mem] - mu) ** 2).sum(axis=1).argmax())]
-                new_labels[far] = empty
-                sizes = np.bincount(new_labels, minlength=k)
-            if labels is not None and np.array_equal(labels, new_labels):
-                break
-            labels = new_labels
-            for j in range(k):
-                centers[j] = pts[labels == j].mean(axis=0)
+    for lab in labels:
         wcss = 0.0
         for j in range(k):
-            mem = pts[labels == j]
+            mem = pts[lab == j]
             wcss += ((mem - mem.mean(axis=0)) ** 2).sum()
         if wcss < best_wcss:
             best_wcss = wcss
-            best_labels = labels
+            best_labels = lab
     return from_labels(best_labels, k)
 
 

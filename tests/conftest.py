@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: pair
 counting loops for the adjusted Rand index, full distance sorts for
 nearest neighbours, definitional silhouette loops, restricted-growth
-enumeration of set partitions, and a climb that peeks one move at a time.
+enumeration of set partitions, a climb that peeks one move at a time, and
+k-means and Prim loops frozen as they were before their faster rewrites.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from cviopt import dataio, optim, partition
+from cviopt import dataio, geometry, optim, partition
 from cviopt.cvi import evaluate, make_evaluator
 
 
@@ -239,3 +241,62 @@ def climb_by_peek(spec, ds, candidates, P):
     trace.tabu_size = len(tabu)
     trace.best_value = best_value
     return partition.from_labels(best_labels, candidates[0].k), trace
+
+
+def kmeans_by_restart(ds, k, restarts, rng, max_iter=300):
+    """``optim.lloyd_kmeans`` one restart after another, as it was before
+    the restarts ran in lockstep: the reference for the lockstep loop.
+    Returns the winning labels and the number of empty-cluster repairs."""
+    pts = ds.points
+    best_labels = None
+    best_wcss = np.inf
+    repairs = 0
+    for _ in range(restarts):
+        centers = pts[rng.choice(ds.n, size=k, replace=False)].copy()
+        labels = None
+        for _ in range(max_iter):
+            d2 = cdist(pts, centers, "sqeuclidean")
+            new_labels = d2.argmin(axis=1)
+            sizes = np.bincount(new_labels, minlength=k)
+            for empty in np.flatnonzero(sizes == 0):
+                repairs += 1
+                donor = int(sizes.argmax())
+                mem = np.flatnonzero(new_labels == donor)
+                mu = pts[mem].mean(axis=0)
+                far = mem[int(((pts[mem] - mu) ** 2).sum(axis=1).argmax())]
+                new_labels[far] = empty
+                sizes = np.bincount(new_labels, minlength=k)
+            if labels is not None and np.array_equal(labels, new_labels):
+                break
+            labels = new_labels
+            for j in range(k):
+                centers[j] = pts[labels == j].mean(axis=0)
+        wcss = 0.0
+        for j in range(k):
+            mem = pts[labels == j]
+            wcss += ((mem - mem.mean(axis=0)) ** 2).sum()
+        if wcss < best_wcss:
+            best_wcss = wcss
+            best_labels = labels
+    return best_labels, repairs
+
+
+def prim_by_delete(ds):
+    """``geometry.emst`` as it was before the fixed-length arrays: Prim
+    over the points outside the tree, dropping each one as it joins."""
+    dp, n = geometry.DistanceProvider(ds), ds.n
+    rest = np.arange(1, n)
+    near = dp.row(0)[1:].copy()
+    via = np.zeros(n - 1, dtype=np.int64)
+    u, v, w = np.empty(n - 1, dtype=np.int64), np.empty(n - 1, dtype=np.int64), np.empty(n - 1)
+    for t in range(n - 1):
+        i = int(np.argmin(near))
+        p = int(rest[i])
+        u[t], v[t], w[t] = min(via[i], p), max(via[i], p), near[i]
+        rest, near, via = np.delete(rest, i), np.delete(near, i), np.delete(via, i)
+        row = dp.row(p)[rest]
+        closer = row < near
+        near[closer] = row[closer]
+        via[closer] = p
+    order = np.lexsort((v, u))
+    return u[order], v[order], w[order]

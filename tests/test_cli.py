@@ -292,13 +292,77 @@ def test_cli_missing_file_is_a_clean_error(tmp_path, capsys):
 
 
 def test_run_parallel_jobs_match_serial(tmp_path):
+    # several specs per dataset: serial jobs share each dataset's set-up
     battery = write_battery(tmp_path / "battery")
-    p1, c1 = make_config(tmp_path, battery, out_name="serial", specs=["BallHall"])
-    p2, c2 = make_config(tmp_path, battery, out_name="parallel", specs=["BallHall"], jobs=2)
+    specs = ["BallHall", "WCNN_2", "GDunn_d1_D1", "DuNN_2_Min_Const"]
+    p1, c1 = make_config(tmp_path, battery, out_name="serial", specs=specs)
+    p2, c2 = make_config(tmp_path, battery, out_name="parallel", specs=specs, jobs=2)
     run_benchmark(RunConfig.load(str(p1)))
     run_benchmark(RunConfig.load(str(p2)))
     strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
-    assert strip(read_records(c1["output_dir"])) == strip(read_records(c2["output_dir"]))
+    rows = strip(read_records(c1["output_dir"]))
+    assert rows == strip(read_records(c2["output_dir"]))
+    assert len(rows) == 12 and all(r["status"] == "ok" for r in rows)
+
+
+def counted_loads(monkeypatch) -> list:
+    """The paths ``dataio.load_dataset`` is called with, from now on."""
+    paths = []
+    load = cli.dataio.load_dataset
+
+    def counting(path):
+        paths.append(os.path.basename(path))
+        return load(path)
+
+    monkeypatch.setattr(cli.dataio, "load_dataset", counting)
+    return paths
+
+
+def test_run_sets_each_dataset_up_once(tmp_path, monkeypatch):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, specs=["BallHall", "WCNN_2", "GDunn_d1_D1"])
+    loads = counted_loads(monkeypatch)
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    assert failures == 0 and len(rows) == 9
+    assert loads == ["blobs.data", "pairs.data"]
+
+
+def test_data_file_rewritten_between_runs_is_read_afresh(tmp_path, monkeypatch):
+    battery = write_battery(tmp_path / "battery")
+    loads = counted_loads(monkeypatch)
+    path, _ = make_config(tmp_path, battery, specs=["BallHall", "CalinskiHarabasz"])
+    assert run_benchmark(RunConfig.load(str(path)))[1] == 0
+    bad = battery / "toy" / "blobs.data"
+    bad.write_text(bad.read_text().replace("0.0", "0.O", 1))
+    path, _ = make_config(tmp_path, battery, out_name="again", specs=["BallHall", "CalinskiHarabasz"])
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    # read again in the second run, and a bad file once per job
+    assert loads == ["blobs.data", "pairs.data", "blobs.data", "blobs.data", "pairs.data"]
+    assert failures == 2
+    assert [(r["dataset"], r["method"], r["status"]) for r in rows if r["status"] != "ok"] == [
+        ("toy/blobs", "BallHall", "failed"),
+        ("toy/blobs", "CalinskiHarabasz", "failed"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_random", -1), ("n_vantage", -2), ("kmeans_restarts", -1), ("vantage_v", 0)],
+)
+def test_config_rejects_negative_generator_counts(tmp_path, capsys, key, value):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.load(str(path))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
+def test_config_allows_any_vantage_v_without_vantage_candidates(tmp_path):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, n_vantage=0, vantage_v=0, kmeans_restarts=0)
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    assert failures == 0 and all(r["status"] == "ok" for r in rows)
 
 
 def test_malformed_data_file_becomes_a_failed_row(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from conftest import make_dataset
+from conftest import coarse_grid, duplicate_points, make_dataset, prim_by_delete
 from cviopt import dataio, geometry
 
 
@@ -68,3 +68,18 @@ def test_emst_spans_duplicate_points(limit, monkeypatch):
 def test_emst_is_cached_per_dataset():
     ds = make_dataset(np.random.default_rng(2), 30, 2)
     assert geometry.emst(ds) is geometry.emst(ds)
+
+
+@pytest.mark.parametrize("limit", (10**6, 8), ids=("dense", "on_demand"))
+@pytest.mark.parametrize("make", (make_dataset, coarse_grid, duplicate_points))
+def test_emst_equals_prim_by_delete(make, limit, monkeypatch):
+    """The same edges, weights and order as Prim over a shrinking array,
+    on tied lattices and duplicate points too."""
+    monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
+    rng = np.random.default_rng(limit)
+    for d in (1, 2, 3, 8):
+        for n in (2, 5, 40, 90):
+            ds = make(rng, n, d)
+            for got, want in zip(geometry.emst(ds), prim_by_delete(ds)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import apply_move, climb_by_peek, enumerate_moves, k_partitions, make_dataset, wcss
+from conftest import (
+    apply_move,
+    climb_by_peek,
+    coarse_grid,
+    duplicate_points,
+    enumerate_moves,
+    k_partitions,
+    kmeans_by_restart,
+    make_dataset,
+    wcss,
+)
 from cviopt import cvi, dataio, optim
 from cviopt.cvi import evaluate, parse_spec
 from cviopt.errors import ContractViolationError, GenerationError, ParameterError
@@ -82,6 +92,50 @@ def test_lloyd_kmeans_parameter_guard(x4):
         lloyd_kmeans(x4, 1)
     with pytest.raises(ParameterError):
         lloyd_kmeans(x4, 5)
+
+
+def test_lloyd_kmeans_needs_a_restart_and_an_iteration(x4):
+    for kw in ({"restarts": 0}, {"max_iter": 0}, {"restarts": -1}):
+        with pytest.raises(ParameterError):
+            lloyd_kmeans(x4, 2, rng=0, **kw)
+
+
+@pytest.mark.parametrize("make", (make_dataset, coarse_grid, duplicate_points))
+@pytest.mark.parametrize("d", (1, 2, 3, 8))
+def test_lockstep_kmeans_equals_the_per_restart_loop(make, d):
+    """Same labels and the same generator state afterwards, bit for bit,
+    as the restarts run one after another; on raw duplicates k exceeds the
+    distinct points, so empty clusters are repaired."""
+    rng = np.random.default_rng(d)
+    repairs = 0
+    for restarts in (1, 2, 10, 12):
+        for max_iter in (1, 2, 300):
+            ds = make(rng, int(rng.integers(20, 80)), d)
+            distinct = len(np.unique(ds.points, axis=0))
+            k = distinct + 2 if make is duplicate_points else int(rng.integers(2, 7))
+            seed = int(rng.integers(2**32))
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, fixed = kmeans_by_restart(ds, k, restarts, want_rng, max_iter)
+            got = lloyd_kmeans(ds, k, restarts=restarts, rng=got_rng, max_iter=max_iter)
+            assert np.array_equal(got.labels, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            repairs += fixed
+    assert repairs > 0 or make is not duplicate_points
+
+
+@pytest.mark.parametrize("d, sites, step", ((1, 12, 0.1), (2, 4, 0.3)))
+def test_lockstep_kmeans_adds_each_cluster_in_point_order(d, sites, step):
+    """Raw points on a grid of ``sites`` per axis in steps of ``step``: tied
+    distances, and cluster sums that depend on the order their members are
+    added in, so that centres an ulp off the per-cluster means move labels
+    in some of these runs."""
+    rng = np.random.default_rng(d)
+    for _ in range(400):
+        ds = dataio.Dataset(rng.integers(0, sites, size=(int(rng.integers(20, 130)), d)) * step)
+        k = int(rng.integers(4, 8))
+        seed = int(rng.integers(2**32))
+        want, _ = kmeans_by_restart(ds, k, 10, np.random.default_rng(seed))
+        assert np.array_equal(lloyd_kmeans(ds, k, rng=seed).labels, want)
 
 
 def test_lloyd_kmeans_descends_wcss():

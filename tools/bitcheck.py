@@ -1,25 +1,29 @@
-"""Compare the incremental evaluators of a git revision with the working
-tree's, bit for bit.
+"""Compare the incremental evaluators, k-means and EMST of a git revision
+with the working tree's, bit for bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
-Loads ``git show REV:src/cviopt/cvi/evaluators.py`` as a module beside the
-current ``cviopt.cvi.evaluators`` (its relative imports resolve to the
-current package, so only that file is compared) and, on fixed seeded
-datasets, builds both evaluators from the same partition and compares
-with ``==``, after each of a few random commits:
+Loads ``git show REV:src/cviopt/cvi/evaluators.py``, ``REV:src/cviopt/optim.py``
+and ``REV:src/cviopt/geometry.py`` as modules beside the current package
+(their relative imports resolve to the current package, so only those
+files are compared) and, on fixed seeded datasets, compares with ``==``:
 
-- every cell of ``scan()``;
-- every valid ``peek``;
-- ``value()``, after commits made with and without a prior ``peek`` of
-  the move, and after a ``peek`` followed by a ``scan()``.
+- for every spec, both evaluators built from the same partition, after
+  each of a few random commits: every cell of ``scan()``; every valid
+  ``peek``; ``value()``, after commits made with and without a prior
+  ``peek`` of the move, and after a ``peek`` followed by a ``scan()``;
+- ``lloyd_kmeans`` labels and the state of its generator afterwards, at
+  1, 2 and 10 restarts and ``max_iter`` 1, 2 and 300, with k also above
+  the distinct point count, on each dataset and on its points times 0.1;
+- ``emst``: every edge end and weight, in order.
 
 The datasets come from the test suite's generators in
 ``tests/conftest.py``: Gaussian, a coarse integer grid (many tied
 distances) and raw duplicate points, at d in {1, 2, 8, 12} and k in
 {2, 3, 5}; each runs once on the dense distance matrix with the default
-row blocks and once on on-demand rows with 64-cell blocks.  Prints the cell count per
-spec; exits 1 on any mismatch.
+row blocks and once on on-demand rows with 64-cell blocks.  Prints the
+count compared per spec and for k-means and the EMST; exits 1 on any
+mismatch.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cviopt import geometry
+from cviopt import geometry, optim
 from cviopt.cvi import evaluators, parse_spec
+from cviopt.dataio import Dataset
 from cviopt.partition import from_labels
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -66,17 +71,18 @@ SPECS = [
 ]
 
 
-def load_revision(rev: str):
-    """The evaluators module of ``rev``, as ``cviopt.cvi._bitcheck_evaluators``."""
+def load_revision(rev: str, path: str, package: str):
+    """Module ``package.path`` of ``rev``, as ``<package>._bitcheck_<name>``."""
     source = subprocess.run(
-        ["git", "show", f"{rev}:src/cviopt/cvi/evaluators.py"],
+        ["git", "show", f"{rev}:src/{package.replace('.', '/')}/{path}"],
         check=True, capture_output=True, text=True,
     ).stdout
-    spec = importlib.util.spec_from_loader("cviopt.cvi._bitcheck_evaluators", loader=None)
+    name = f"{package}._bitcheck_{path.removesuffix('.py')}"
+    spec = importlib.util.spec_from_loader(name, loader=None)
     module = importlib.util.module_from_spec(spec)
-    module.__package__ = "cviopt.cvi"
+    module.__package__ = package
     sys.modules[spec.name] = module
-    exec(compile(source, f"{rev}:evaluators.py", "exec"), module.__dict__)
+    exec(compile(source, f"{rev}:{path}", "exec"), module.__dict__)
     return module
 
 
@@ -108,40 +114,91 @@ def compare(old_ev, new_ev, rng, commits: int) -> tuple[int, int]:
     return cells, bad
 
 
+#: (DENSE_LIMIT, _BLOCK_CELLS): the dense matrix with the default row
+#: blocks, and on-demand rows with 64-cell blocks
+MODES = [(geometry.DENSE_LIMIT, geometry._BLOCK_CELLS), (8, 64)]
+
+
+def datasets(rng):
+    """(Dataset, k) over every generator, d and k of the checks."""
+    for make in (make_dataset, coarse_grid, duplicate_points):
+        for d in (1, 2, 8, 12):
+            for k in (2, 3, 5):
+                yield make(rng, int(rng.integers(30, 70)), d), k
+
+
+def compare_kmeans(old_optim, rng) -> tuple[int, int]:
+    """(calls compared, mismatches) of ``lloyd_kmeans``: labels and the
+    generator's state afterwards."""
+    calls = bad = 0
+    for grid, k in datasets(rng):
+        # in steps of 0.1, a grid's sums depend on the order of addition
+        for ds in (grid, Dataset(grid.points * 0.1)):
+            distinct = len(np.unique(ds.points, axis=0))
+            for kk in (k, min(distinct + 2, ds.n)):
+                for restarts in (1, 2, 10):
+                    for max_iter in (1, 2, 300):
+                        seed = int(rng.integers(2**32))
+                        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                        a = old_optim.lloyd_kmeans(ds, kk, restarts, old_rng, max_iter)
+                        b = optim.lloyd_kmeans(ds, kk, restarts, new_rng, max_iter)
+                        calls += 1
+                        same = np.array_equal(a.labels, b.labels)
+                        bad += not (same and old_rng.bit_generator.state == new_rng.bit_generator.state)
+    return calls, bad
+
+
+def compare_emst(old_geometry, rng) -> tuple[int, int]:
+    """(edges compared, mismatching edges) of ``emst``, in both modes."""
+    edges = bad = 0
+    for mode in MODES:
+        for module in (geometry, old_geometry):
+            module.DENSE_LIMIT, module._BLOCK_CELLS = mode
+        for ds, _ in datasets(rng):
+            old, new = old_geometry.emst(ds), geometry.emst(ds)
+            edges += len(new[0])
+            bad += int(((old[0] != new[0]) | (old[1] != new[1]) | (old[2] != new[2])).sum())
+    for module in (geometry, old_geometry):
+        module.DENSE_LIMIT, module._BLOCK_CELLS = MODES[0]
+    return edges, bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
     args = ap.parse_args(argv)
-    old = load_revision(args.rev)
-    modes = [(geometry.DENSE_LIMIT, geometry._BLOCK_CELLS), (8, 64)]
+    old = load_revision(args.rev, "evaluators.py", "cviopt.cvi")
+    old_optim = load_revision(args.rev, "optim.py", "cviopt")
+    old_geometry = load_revision(args.rev, "geometry.py", "cviopt")
     total = total_bad = 0
     for text in SPECS:
         spec = parse_spec(text)
         cells = bad = 0
         rng = np.random.default_rng(zlib.crc32(text.encode()))
-        for limit, block in modes:
+        for limit, block in MODES:
             geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = limit, block
-            for make in (make_dataset, coarse_grid, duplicate_points):
-                for d in (1, 2, 8, 12):
-                    for k in (2, 3, 5):
-                        ds = make(rng, int(rng.integers(30, 70)), d)
-                        near_singletons = np.minimum(np.arange(ds.n), k - 1)
-                        random = np.arange(ds.n) % k
-                        rng.shuffle(random)
-                        for labels in (random, near_singletons):
-                            part = from_labels(labels, k)
-                            c, b = compare(
-                                old.make_evaluator(spec, ds, part),
-                                evaluators.make_evaluator(spec, ds, part),
-                                rng,
-                                6,
-                            )
-                            cells, bad = cells + c, bad + b
-        geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = modes[0]
+            for ds, k in datasets(rng):
+                near_singletons = np.minimum(np.arange(ds.n), k - 1)
+                random = np.arange(ds.n) % k
+                rng.shuffle(random)
+                for labels in (random, near_singletons):
+                    part = from_labels(labels, k)
+                    c, b = compare(
+                        old.make_evaluator(spec, ds, part),
+                        evaluators.make_evaluator(spec, ds, part),
+                        rng,
+                        6,
+                    )
+                    cells, bad = cells + c, bad + b
+        geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = MODES[0]
         print(f"{text:24s} {cells:9d} cells {bad:6d} mismatches", flush=True)
         total, total_bad = total + cells, total_bad + bad
     print(f"total {total} cells, {total_bad} mismatches")
-    return 1 if total_bad else 0
+    calls, kmeans_bad = compare_kmeans(old_optim, np.random.default_rng(1))
+    print(f"lloyd_kmeans {calls} calls, {kmeans_bad} mismatches")
+    edges, emst_bad = compare_emst(old_geometry, np.random.default_rng(2))
+    print(f"emst {edges} edges, {emst_bad} mismatches")
+    return 1 if total_bad or kmeans_bad or emst_bad else 0
 
 
 if __name__ == "__main__":
