@@ -430,19 +430,16 @@ def summarize(rows: list[dict]) -> list[dict]:
 
 def meta_cluster(rows: list[dict], output_dir: str, aggregators=("mean", "median", "q3")) -> list[str]:
     """Dendrograms over method dissimilarities; reference labels unused."""
-    results: dict[str, dict[str, list[int]]] = {}
+    results: dict[str, dict[str, np.ndarray]] = {}
     for r in rows:
         if r["status"] != "ok" or not r["labels_path"]:
             continue
-        path = os.path.join(output_dir, r["labels_path"])
-        with open(path, "rt", encoding="utf-8") as fh:
-            labels = [int(line) for line in fh if line.strip()]
-        unit = f"{r['dataset']}::k{r['k']}"
-        results.setdefault(r["method"], {})[unit] = labels
+        labels = dataio.load_labels(os.path.join(output_dir, r["labels_path"]))
+        results.setdefault(r["method"], {})[f"{r['dataset']}::k{r['k']}"] = labels
+    names, mats = method_dissimilarity(results, aggregators)
     written = []
     for agg in aggregators:
-        names, mat = method_dissimilarity(results, agg)
-        dend = complete_linkage(mat)
+        dend = complete_linkage(mats[agg])
         path = os.path.join(output_dir, f"meta_{agg}.csv")
         with open(path, "wt", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -511,12 +508,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    with open(args.labels, "rt", encoding="utf-8") as fh:
-        n = sum(1 for line in fh if line.strip())
-    cand = dataio.load_labels(args.labels, n)
+    cand = dataio.load_labels(args.labels)
     best = 0.0
     for j, ref_path in enumerate(args.refs):
-        ref = dataio.load_labels(ref_path, n)
+        ref = dataio.load_labels(ref_path, len(cand))
         raw = adjusted_rand(ref, cand, exclude_noise=True)
         clamped = clamp_score(raw)
         best = max(best, clamped)

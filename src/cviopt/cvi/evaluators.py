@@ -7,17 +7,16 @@ from-scratch evaluations.  The contract is semantic: after any sequence of
 commits, ``value()`` agrees with the definitional implementation in
 :mod:`cviopt.cvi.indices` to 1e-9 relative.
 
-Each index has one move formula: an evaluator defines ``_scan`` (the
-moves of some points to some targets, at once) or ``_peek`` (one move),
-and the base class derives the other.  BallHall, CalinskiHarabasz, WCNN
-and, in row blocks of at most ``geometry._BLOCK_CELLS`` cells, Silhouette,
-SilhouetteW and DaviesBouldin define ``_scan``.  GDunn and DuNN define
-``_peek`` and also scan where every statistic is an exact minimum or
-maximum or the same dot product, so the scan equals the peeks bit for
-bit: GDunn d1 and d2 over D1 with a farthest-point matrix, DuNN with any
-OWA pair but Mean with one side scan per side, each peeking the few
-moves its premise does not cover.  ``commit`` reuses the last ``peek``
-when it was of the same move.
+Each index has one move formula.  Every evaluator defines ``_scan`` (the
+moves of some points to some targets, at once), and ``peek`` is one cell
+of a one-point scan, except for DuNN, which defines a scalar ``_peek`` and
+scans every side of every move with the same minima, maxima, dot
+products and sums, bit for bit.  Silhouette, SilhouetteW, DaviesBouldin
+and GDunn scan in row blocks of at most ``geometry._BLOCK_CELLS`` cells;
+DaviesBouldin and the 15 GDunn variants share one scan, which builds the
+post-move per-cluster statistics of a block of moves and applies the
+index's formula to all of them at once.  ``commit`` reuses the last
+``peek`` when it was of the same move.
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
@@ -39,12 +38,6 @@ from .specs import CVISpec
 _INF = float("inf")
 _MIN = owa.OWASpec("Min")
 _NO_EDGES = np.empty(0, dtype=np.int64)
-
-
-def _ratio(num: float, den: float) -> float:
-    if den <= 0.0:
-        return _INF
-    return num / den
 
 
 class CVIEvaluator:
@@ -134,22 +127,7 @@ class CVIEvaluator:
         its valid cells of the columns ``targets``, a peek each; the other
         cells may hold anything.  The moves are valid by construction, so
         ``check_move`` is skipped."""
-        out = np.full((len(points), self._k), -_INF)
-        for r, p in enumerate(points.tolist()):
-            a = int(self._labels[p])
-            if self._sizes[a] >= 2:
-                for j in targets:
-                    if j != a:
-                        out[r, j] = self._peek(Move(p, a, j))
-        return out
-
-    def _peek_cells(self, out: np.ndarray, points: np.ndarray, targets, cells) -> None:
-        """Write a peek into ``out[r, j]`` for each (point, target) of
-        ``cells`` that is a valid move of ``points[r]`` to one of ``targets``."""
-        for p, j in dict.fromkeys(cells):
-            a, rows = int(self._labels[p]), np.flatnonzero(points == p)
-            if len(rows) and j != a and j in targets and self._sizes[a] >= 2:
-                out[rows, j] = self._peek(Move(p, a, j))
+        raise NotImplementedError
 
     def _apply(self, m: Move) -> None:
         """Refresh sufficient statistics; called with labels/sizes already
@@ -360,11 +338,6 @@ def _dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _sum_to_centroid(pts: np.ndarray, t_row: np.ndarray) -> float:
-    """Sum of distances from ``pts`` to their centroid ``t_row / len(pts)``."""
-    return float(_dist(pts, t_row / pts.shape[0]).sum())
-
-
 def _centroid_gaps(t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """(..., k, k) distances between the centroids ``t / sizes``."""
     cents = t / sizes[..., None]
@@ -376,7 +349,10 @@ def _incidence(u: np.ndarray, v: np.ndarray, n: int):
     (end, edge, other end, starts): the incidences of point p are the
     slice ``starts[p]:starts[p + 1]``, in edge order."""
     ends = np.concatenate([u, v])
-    by_point = np.argsort(ends, kind="stable")
+    # the stable sort of the ends as the smallest unsigned type that holds
+    # n gives the same permutation, and numpy radix-sorts keys of at most
+    # 16 bits, in linear time, where it timsorts int64 ones
+    by_point = np.argsort(ends.astype(np.min_scalar_type(n)), kind="stable")
     edge = np.tile(np.arange(len(u)), 2)[by_point]
     starts = np.searchsorted(ends[by_point], np.arange(n + 1))
     return ends[by_point], edge, np.concatenate([v, u])[by_point], starts
@@ -445,11 +421,13 @@ class _EdgeSplit:
         return owa.aggregate(spec, self._w[cand])
 
     def scan_side(self, spec: owa.OWASpec, side: int, labels, p, rm, add) -> np.ndarray:
-        """``aggregate`` of a Min, Max, SMin, SMax or Const side, NaN for
-        None, after each move of a point ``p[r]`` that takes its edges into
-        cluster ``rm[r]`` out of the side and its edges into ``add[r]`` in."""
+        """``aggregate`` of the side, NaN for None, after each move of a
+        point ``p[r]`` that takes its edges into cluster ``rm[r]`` out of
+        the side and its edges into ``add[r]`` in."""
         if spec.is_const:
             return np.ones(len(p))
+        if spec.kind == "Mean":
+            return self._scan_mean(side, labels, p, rm, add)
         # as in aggregate: the t extreme ranks after the move lie among the
         # side's t + degree extreme ranks less the removed ones, and the
         # added ones.  Ranks are keyed by nearness to the extreme, so the
@@ -463,12 +441,10 @@ class _EdgeSplit:
         t = min(t, len(near) + self._degree)
         pick = np.empty((len(p), t), dtype=np.int64)
         for r in row_blocks(np.arange(len(p)), len(near) + 3 * self._degree):
-            pr, rm_r, add_r = p[r, None], rm[r, None], add[r, None]
-            at = self._offsets[pr] + np.arange(self._degree)
-            pad = at >= self._offsets[pr + 1]
-            at[pad] = 0
-            gained = np.where(pad, -1, labels[self._opps[at]]) == add_r
-            inc = self._ranks[at] if low else e - 1 - self._ranks[at]
+            pr, rm_r = p[r, None], rm[r, None]
+            inc, lab = self._incident(labels, p[r])
+            gained = lab == add[r, None]
+            inc = inc if low else e - 1 - inc
             lost = (u == pr) & (lab_v == rm_r) | (v == pr) & (lab_u == rm_r)
             cand = np.concatenate([np.where(lost, e, key), np.where(gained, inc, e)], axis=1)
             cand = np.partition(cand, t - 1, axis=1)[:, :t]
@@ -483,6 +459,35 @@ class _EdgeSplit:
         for size in np.unique(m[m > 0]).tolist():
             w, rows = owa.smooth_extreme_weights(spec.delta, size), np.flatnonzero(m == size)
             out[rows] = [np.dot(w, row) for row in vals[rows, :size]]
+        return out
+
+    def _incident(self, labels: np.ndarray, p: np.ndarray):
+        """(len(p), degree) ranks of each point's edges, in incidence order,
+        and the labels of their other ends; -1 labels pad short rows."""
+        at = self._offsets[p, None] + np.arange(self._degree)
+        pad = at >= self._offsets[p + 1, None]
+        at[pad] = 0
+        return self._ranks[at], np.where(pad, -1, labels[self._opps[at]])
+
+    def _scan_mean(self, side: int, labels, p, rm, add) -> np.ndarray:
+        # aggregate's (sums - removed + added) / z, each move's removed and
+        # added weights summed in incidence order: a row of a C-contiguous
+        # array sums as that row alone does, so rows of one count sum at once
+        out = np.empty(len(p))
+        for r in row_blocks(np.arange(len(p)), 3 * self._degree):
+            inc, lab = self._incident(labels, p[r])
+            w, sums, counts = self._w[inc], [], []
+            for cluster in (rm[r], add[r]):
+                hit = lab == cluster[:, None]
+                count, total = hit.sum(axis=1), np.zeros(len(r))
+                for c in np.unique(count[count > 0]).tolist():
+                    rows = count == c
+                    total[rows] = w[rows][hit[rows]].reshape(-1, c).sum(axis=1)
+                sums.append(total)
+                counts.append(count)
+            z = len(self._sides[side]) - counts[0] + counts[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[r] = np.where(z > 0, (self._sums[side] - sums[0] + sums[1]) / z, np.nan)
         return out
 
     def scan_cross(self, kind: str, labels: np.ndarray):
@@ -505,28 +510,38 @@ class _EdgeSplit:
         return w[pick(added, r)], [(u, int(labels[v])), (v, int(labels[u]))]
 
 
+def _stack(v: np.ndarray, n: int) -> np.ndarray:
+    """``n`` copies of ``v`` along a new leading axis."""
+    return np.repeat(v[None], n, axis=0)
+
+
+def _set_symmetric(m: np.ndarray, rr, i, row: np.ndarray) -> None:
+    """Set row and column ``i[r]`` of each k x k matrix ``m[rr[r]]`` to ``row[r]``."""
+    m[rr, i] = row
+    m[rr, :, i] = row
+
+
 class _ClusterStatsEvaluator(CVIEvaluator):
     """An index that is one formula, ``_value_of(st, sizes)``, over
-    per-cluster statistics: ``value()`` applies it to the current
-    statistics and ``_peek`` (DaviesBouldin: ``_scan``) to the post-move ones.
+    per-cluster statistics, broadcast over leading axes: ``value()``
+    applies it to the current statistics and ``_scan`` to the post-move
+    statistics of a row block of moves at once.
 
     ``needs`` names the statistics a subclass reads; ``st`` holds them:
 
     - ``cross``: the smallest cross-cluster MST edge weight (the closest
       cross-cluster pair always lies on the Euclidean MST), kept by an
-      ``_EdgeSplit`` of the MST; a peek lists its edge flips in ``flips``;
+      ``_EdgeSplit`` of the MST;
     - ``bmax``: k x k block distance maxima, off-diagonal blocks for
-      ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``; each
-      has a witness pair in ``self._wit`` (a peek lists new ones in
-      ``new_wit``).  They are read off the n x k farthest-point matrix
-      ``self._far``: ``_far[p, j]`` is the largest distance from p to a
-      member of cluster j;
+      ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``, read
+      off the n x k farthest-point matrix ``self._far``: ``_far[p, j]`` is
+      the largest distance from p to a member of cluster j.  Each tracked
+      block has a witness pair in ``self._wit``;
     - ``bsum``: k x k block distance sums (the diagonal counts each pair twice);
     - ``t``/``sdc``: per-cluster point sums and distance-to-centroid sums.
 
-    A commit refreshes the sums of the two touched clusters from their
-    members, so rounding never accumulates.  The exact statistics (cross,
-    bmax) adopt the post-move values that the peek of the same move computed.
+    A commit recomputes the statistics of the two touched clusters from
+    their members, so rounding never accumulates.
     """
 
     needs: frozenset = frozenset()
@@ -539,28 +554,20 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         st = self._st = {}
         if "cross" in needs:
             self._mst = _EdgeSplit(*emst(self.ds), self._labels)
-            st["cross"] = self._mst.aggregate(_MIN, 0, _NO_EDGES, _NO_EDGES)
-        if "bsum" in needs:
-            st["bsum"] = np.zeros((k, k))
-        if "t" in needs:
-            st["t"] = np.zeros((k, self.ds.d))
-        if "sdc" in needs:
-            st["sdc"] = np.zeros(k)
-        self._refresh(range(k))
+        for key, shape in (("bsum", (k, k)), ("t", (k, self.ds.d)), ("sdc", k)):
+            if key in needs:
+                st[key] = np.zeros(shape)
         if needs & {"bmax_off", "bmax_diag"}:
             eye = np.eye(k, dtype=bool)
             track = ("bmax_off" in needs) & ~eye | ("bmax_diag" in needs) & eye
             self._track = [np.flatnonzero(row).tolist() for row in track]
             st["bmax"] = np.zeros((k, k))
-            st["new_wit"] = []
             self._wit = np.full((k, k, 2), -1, dtype=np.int64)
             self._far = self._dp.cluster_maxima(self._labels, k)
-            for i, j in zip(*np.nonzero(np.triu(track))):
-                self._rescan(st, i, j, self._mem[i])
-            self._adopt_witnesses(st.pop("new_wit"))
+        self._refresh(range(k))
 
     def _refresh(self, rows) -> None:
-        """Recompute the members and the summed statistics of clusters ``rows``."""
+        """Recompute the members and the statistics of clusters ``rows``."""
         st, mem = self._st, self._mem
         for r in rows:
             mem[r] = np.flatnonzero(self._labels == r)
@@ -574,16 +581,25 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             if "t" in st:
                 st["t"][r] = self._pts[mem[r]].sum(axis=0)
             if "sdc" in st:
-                st["sdc"][r] = _sum_to_centroid(self._pts[mem[r]], st["t"][r])
+                st["sdc"][r] = _dist(self._pts[mem[r]], st["t"][r] / len(mem[r])).sum()
+        if "cross" in self.needs:
+            st["cross"] = self._mst.aggregate(_MIN, 0, _NO_EDGES, _NO_EDGES)
+        if "bmax" in st:
+            for i, j in dict.fromkeys((min(i, j), max(i, j)) for i in rows for j in self._track[i]):
+                value, u = self._block_max(i, j, mem[i])
+                st["bmax"][i, j] = st["bmax"][j, i] = value
+                v = int(mem[j][self._dp.sub([u], mem[j])[0].argmax()])
+                self._wit[i, j], self._wit[j, i] = (u, v), (v, u)
+            self._witness = np.zeros(self._n, dtype=bool)
+            for i, cols in enumerate(self._track):
+                self._witness[self._wit[i, cols]] = True
 
-    def _rescan(self, st: dict, i: int, j: int, mem_i: np.ndarray, gone: int | None = None) -> None:
-        """Maximum and witness of block (i, j), read off ``_far``.  ``mem_i``
-        holds the members of i, or, with ``gone``, those less that point;
-        j is then i or a cluster that keeps its members.  The witness is the
-        block's first maximum in row-major order: the first row whose
-        farthest point reaches it."""
+    def _block_max(self, i: int, j: int, mem_i: np.ndarray, gone: int | None = None):
+        """Maximum of block (i, j), read off ``_far``, and the first member
+        of ``mem_i`` whose farthest point reaches it.  ``mem_i`` holds the
+        members of i, or, with ``gone``, those less that point; j is then i
+        or a cluster that keeps its members."""
         far = self._far[mem_i, j]
-        mem_j = mem_i if j == i else self._mem[j]
         if gone is not None and j == i:
             # rows whose farthest was the gone point drop to their farthest
             # in mem_i, at most their old value; recompute only those that
@@ -595,101 +611,135 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             for rows in row_blocks(redo, len(mem_i)):
                 far[rows] = self._dp.sub(mem_i[rows], mem_i).max(axis=1)
         u = int(far.argmax())
-        v = int(self._dp.sub(mem_i[u : u + 1], mem_j)[0].argmax())
-        st["bmax"][i, j] = st["bmax"][j, i] = far[u]
-        st["new_wit"].append((i, j, mem_i[u], mem_j[v]))
+        return far[u], int(mem_i[u])
 
-    def _adopt_witnesses(self, new_wit: list) -> None:
-        """Record the witness pairs ``(i, j, u, v)``, u in cluster i and v in j,
-        and flag the points that witness some tracked block maximum."""
-        for i, j, u, v in new_wit:
-            self._wit[i, j] = (u, v)
-            self._wit[j, i] = (v, u)
-        self._witness = np.zeros(self._n, dtype=bool)
-        for i, cols in enumerate(self._track):
-            self._witness[self._wit[i, cols]] = True
-
-    def _value_of(self, st: dict, sizes: np.ndarray) -> float:
+    def _value_of(self, st: dict, sizes: np.ndarray):
         raise NotImplementedError
 
     def _full_value(self) -> float:
-        return self._value_of(self._st, self._sizes.astype(np.float64))
+        return float(self._value_of(self._st, self._sizes.astype(np.float64)))
 
-    def _peek(self, m: Move) -> float:
-        p, a, b = m.point, m.src, m.dst
-        sizes = self._sizes.astype(np.float64)
-        sizes[a] -= 1
-        sizes[b] += 1
-        mem = self._mem
-        st = dict(self._st)
-        row = self._dp.row(p) if self._dp is not None else None
+    def _leave(self, p: np.ndarray, a: np.ndarray) -> dict:
+        """The parts of the moves of ``p[r]`` out of cluster ``a[r]`` that do
+        not depend on the target: the sdc and the bmax row of a less p;
+        p's distance sums and farthest distances to every cluster; and the
+        cross weight after each move, (len(p), k), from ``scan_cross`` but
+        for the two moves that remove the smallest cross edge, which come
+        from their own edge flips."""
+        st, mem, lab = self._st, self._mem, self._labels
+        out = {}
         if "cross" in st:
-            to_cross, to_within = st["flips"] = self._mst.flips(self._labels, p, a, b)
-            st["cross"] = self._mst.aggregate(_MIN, 0, to_within, to_cross)
-        if "bmax" in st:
-            # a block of a changes only if p witnessed its maximum; a block
-            # (b, j) can only grow, to p's farthest point in j (d(p, p) = 0,
-            # so pre-move member sets give the same maxima)
-            bmax = st["bmax"] = st["bmax"].copy()
-            st["new_wit"] = []
-            if self._witness[p]:
-                rest = mem[a][mem[a] != p]
-                for j in self._track[a]:
-                    if p in self._wit[a, j]:
-                        self._rescan(st, a, j, rest, p)
-            for j in self._track[b]:
-                if self._far[p, j] > bmax[b, j]:
-                    bmax[b, j] = bmax[j, b] = self._far[p, j]
-                    st["new_wit"].append((b, j, p, mem[j][int(row[mem[j]].argmax())]))
+            num, redo = self._mst.scan_cross("Min", lab)
+            cross = out["cross"] = np.repeat(num[p, None], self._k, axis=1)
+            for q, j in redo:
+                rows = p == q
+                if rows.any():
+                    to_cross, to_within = self._mst.flips(lab, q, int(lab[q]), j)
+                    cross[rows, j] = self._mst.aggregate(_MIN, 0, to_within, to_cross)
         if "bsum" in st:
-            rbc = np.bincount(self._labels, weights=row, minlength=self._k)
-            old = st["bsum"]
-            s = st["bsum"] = old.copy()
-            s[a] -= rbc
-            s[:, a] = s[a]
-            s[b] += rbc
-            s[:, b] = s[b]
-            s[a, a] = old[a, a] - 2 * rbc[a]
-            s[b, b] = old[b, b] + 2 * rbc[b]
-        if "t" in st:
-            x = self._pts[p]
-            t = st["t"] = st["t"].copy()
-            t[a] -= x
-            t[b] += x
+            out["bsum"] = self._dp.cluster_sums(lab, self._k, p)
         if "sdc" in st:
-            sdc = st["sdc"] = st["sdc"].copy()
-            sdc[a] = _sum_to_centroid(self._pts[mem[a][mem[a] != p]], st["t"][a])
-            sdc[b] = _sum_to_centroid(self._pts[np.append(mem[b], p)], st["t"][b])
-        self._moved = st
-        return self._value_of(st, sizes)
+            sdc = out["sdc"] = np.empty(len(p))
+            for i in np.unique(a).tolist():
+                x_i, m = self._pts[mem[i]], len(mem[i])
+                for r in row_blocks(np.flatnonzero(a == i), m):
+                    # distances of i's members to the centroids of i less
+                    # each p, without p's own column
+                    pos = np.searchsorted(mem[i], p[r])
+                    dist = _dist(x_i, ((st["t"][i] - x_i[pos]) / (m - 1))[:, None])
+                    keep = np.ones(dist.shape, dtype=bool)
+                    keep[np.arange(len(pos)), pos] = False
+                    sdc[r] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
+        if "bmax" in st:
+            # a block of a changes only if p witnessed its maximum
+            out["far"] = self._far[p]
+            rows = out["bmax"] = st["bmax"][a]
+            for r in np.flatnonzero(self._witness[p]).tolist():
+                q, i = int(p[r]), int(a[r])
+                rest = mem[i][mem[i] != q]
+                for j in self._track[i]:
+                    if q in self._wit[i, j]:
+                        rows[r, j] = self._block_max(i, j, rest, q)[0]
+        return out
+
+    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
+        # the post-move statistics of a row block of moves p: a -> j, one
+        # target j at a time, from _leave's part of a; p joins j with its
+        # point, its distance sums and its farthest points (a block (j, i)
+        # can only grow, to p's farthest point in i; d(p, p) = 0, so the
+        # pre-move member sets give the same maxima)
+        k, st, mem = self._k, self._st, self._mem
+        src = self._labels[points]
+        movable = np.flatnonzero(self._sizes[src] >= 2)
+        p, a = points[movable], src[movable]
+        left = self._leave(p, a)
+        sizes = self._sizes.astype(np.float64)
+        out = np.full((len(points), k), -_INF)
+        for j in targets:
+            width = k * (k + self.ds.d) + (len(mem[j]) + 1 if "sdc" in st else 0)
+            for r in row_blocks(np.flatnonzero(a != j), width):
+                rr, x = np.arange(len(r)), self._pts[p[r]]
+                moved, sizes2 = {}, _stack(sizes, len(r))
+                sizes2[rr, a[r]] -= 1
+                sizes2[:, j] += 1
+                if "cross" in st:
+                    moved["cross"] = left["cross"][r, j]
+                if "t" in st:
+                    t = moved["t"] = _stack(st["t"], len(r))
+                    t[rr, a[r]] -= x
+                    t[:, j] += x
+                if "sdc" in st:
+                    x_j, m = self._pts[mem[j]], len(mem[j])
+                    cents = ((st["t"][j] + x) / (m + 1))[:, None]
+                    dist = np.concatenate([_dist(x_j, cents), _dist(x[:, None], cents)], axis=1)
+                    sdc = moved["sdc"] = _stack(st["sdc"], len(r))
+                    sdc[rr, a[r]] = left["sdc"][r]
+                    sdc[:, j] = dist.sum(axis=1)
+                if "bsum" in st:
+                    # as p's distance sums leave a and join j, in this order
+                    row, old = left["bsum"][r], st["bsum"]
+                    bsum = moved["bsum"] = _stack(old, len(r))
+                    _set_symmetric(bsum, rr, a[r], old[a[r]] - row)
+                    _set_symmetric(bsum, slice(None), j, bsum[:, j] + row)
+                    bsum[rr, a[r], a[r]] = old[a[r], a[r]] - 2 * row[rr, a[r]]
+                    bsum[:, j, j] = old[j, j] + 2 * row[:, j]
+                if "bmax" in st:
+                    bmax = moved["bmax"] = _stack(st["bmax"], len(r))
+                    _set_symmetric(bmax, rr, a[r], left["bmax"][r])
+                    _set_symmetric(bmax, slice(None), j, np.maximum(bmax[:, j], left["far"][r]))
+                out[movable[r], j] = self._value_of(moved, sizes2)
+        return out
 
     def _apply(self, m: Move) -> None:
-        # commit peeked m just before, so self._moved holds its statistics
-        for key in ("cross", "bmax"):
-            if key in self._st:
-                self._st[key] = self._moved[key]
         if "cross" in self._st:
-            self._mst.commit(*self._moved["flips"])
-        if "bmax" in self._st:
-            self._adopt_witnesses(self._moved["new_wit"])
-        self._refresh((m.src, m.dst))
+            self._mst.commit(*self._mst.flips(self._labels, m.point, m.src, m.dst))
         if "bmax" in self._st:
             # p joins b; in a, only the points whose farthest was p change
-            far, row, mem = self._far, self._dp.row(m.point), self._mem[m.src]
+            far, row = self._far, self._dp.row(m.point)
+            rest = self._mem[m.src][self._mem[m.src] != m.point]
             lost = np.flatnonzero(far[:, m.src] == row)
             far[:, m.dst] = np.maximum(far[:, m.dst], row)
-            for rows in row_blocks(lost, len(mem)):
-                far[rows, m.src] = self._dp.sub(rows, mem).max(axis=1)
+            for rows in row_blocks(lost, len(rest)):
+                far[rows, m.src] = self._dp.sub(rows, rest).max(axis=1)
+        self._refresh((m.src, m.dst))
 
 
-def _davies_bouldin(sdc: np.ndarray, t: np.ndarray, sizes: np.ndarray):
-    """Davies-Bouldin index (negated) of per-cluster statistics, broadcast
-    over leading axes: ``sdc`` and ``sizes`` (..., k), ``t`` (..., k, d)."""
+def _outer(op, v: np.ndarray) -> np.ndarray:
+    """(..., k, k) ``op`` of every pair of entries of ``v`` (..., k)."""
+    return op(v[..., :, None], v[..., None, :])
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    return m.diagonal(0, -2, -1)
+
+
+def _davies_bouldin(st: dict, sizes: np.ndarray):
+    """Davies-Bouldin index (negated) of per-cluster statistics."""
     k = sizes.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(sizes > 1, sdc / sizes, np.inf)
-        gaps = _centroid_gaps(t, sizes)
-        r = np.where(gaps > 0.0, (s[..., :, None] + s[..., None, :]) / gaps, np.inf)
+        s = np.where(sizes > 1, st["sdc"] / sizes, np.inf)
+        gaps = _centroid_gaps(st["t"], sizes)
+        r = np.where(gaps > 0.0, _outer(np.add, s) / gaps, np.inf)
     r[..., np.arange(k), np.arange(k)] = -np.inf
     return -r.max(axis=-1).mean(axis=-1)
 
@@ -697,122 +747,54 @@ def _davies_bouldin(sdc: np.ndarray, t: np.ndarray, sizes: np.ndarray):
 class DaviesBouldinEvaluator(_ClusterStatsEvaluator):
     needs = frozenset({"t", "sdc"})
 
-    _peek = CVIEvaluator._peek  # one cell of _scan
-
-    def _value_of(self, st: dict, sizes: np.ndarray) -> float:
-        return float(_davies_bouldin(st["sdc"], st["t"], sizes))
-
-    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
-        # the post-move statistics of every move at once: the sdc of a less
-        # p once per moving point p, the sdc of j plus p per target j, then
-        # the k x k ratios over a row block of moves
-        k, lab, pts, mem = self._k, self._labels, self._pts, self._mem
-        t, sdc = self._st["t"], self._st["sdc"]
-        sizes = self._sizes.astype(np.float64)
-        out = np.full((len(points), k), -_INF)
-        src = lab[points]
-        movable = np.flatnonzero(self._sizes[src] >= 2)  # rows of points
-        sdc_src = np.empty(len(points))  # sdc of a less p, per row
-        for a in np.unique(src[movable]):
-            x_a, m = pts[mem[a]], len(mem[a])
-            for r in row_blocks(movable[src[movable] == a], m):
-                # distances of a's members to the centroids of a less each p,
-                # without p's own column
-                pos = np.searchsorted(mem[a], points[r])
-                dist = _dist(x_a, ((t[a] - x_a[pos]) / (m - 1))[:, None])
-                keep = np.ones(dist.shape, dtype=bool)
-                keep[np.arange(len(pos)), pos] = False
-                sdc_src[r] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
-        for j in targets:
-            x_j, m = pts[mem[j]], len(mem[j])
-            for r in row_blocks(movable[src[movable] != j], max(m + 1, k * k)):
-                rr, x, a = np.arange(len(r)), pts[points[r]], src[r]
-                cents = ((t[j] + x) / (m + 1))[:, None]
-                dist = np.concatenate([_dist(x_j, cents), _dist(x[:, None], cents)], axis=1)
-                sizes2, t2, sdc2 = (np.repeat(v[None], len(r), axis=0) for v in (sizes, t, sdc))
-                sizes2[rr, a] -= 1
-                sizes2[:, j] += 1
-                t2[rr, a] -= x
-                t2[:, j] += x
-                sdc2[rr, a] = sdc_src[r]
-                sdc2[:, j] = dist.sum(axis=1)
-                out[r, j] = _davies_bouldin(sdc2, t2, sizes2)
-        return out
+    def _value_of(self, st: dict, sizes: np.ndarray):
+        return _davies_bouldin(st, sizes)
 
 
 def _pooled_spread(st: dict, sizes: np.ndarray) -> np.ndarray:
     """k x k size-weighted mean distance of two clusters' members to their own centroids."""
-    return np.add.outer(st["sdc"], st["sdc"]) / np.add.outer(sizes, sizes)
+    return _outer(np.add, st["sdc"]) / _outer(np.add, sizes)
 
 
-def _mean_within(st: dict, sizes: np.ndarray) -> float:
+def _mean_within(st: dict, sizes: np.ndarray):
     """Largest mean within-cluster pair distance; singletons count 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = np.where(sizes > 1, st["bsum"].diagonal() / (sizes * (sizes - 1)), 0.0)
-    return means.max()
+        means = np.where(sizes > 1, _diagonal(st["bsum"]) / (sizes * (sizes - 1)), 0.0)
+    return means.max(axis=-1)
 
 
 # GDunn separations dX (the smallest over cluster pairs i < j, indexed by iu)
-# and compactnesses DY (the largest over clusters), Bezdek & Pal (1998):
+# and compactnesses DY (the largest over clusters), Bezdek & Pal (1998),
+# over statistics and sizes with any leading axes:
 # variant -> (statistics read, formula)
 _SEPARATIONS = {
     1: ({"cross"}, lambda st, sizes, iu: st["cross"]),
-    2: ({"bmax_off"}, lambda st, sizes, iu: st["bmax"][iu].min()),
-    3: ({"bsum"}, lambda st, sizes, iu: (st["bsum"][iu] / np.outer(sizes, sizes)[iu]).min()),
-    4: ({"t"}, lambda st, sizes, iu: _centroid_gaps(st["t"], sizes)[iu].min()),
-    5: ({"t", "sdc"}, lambda st, sizes, iu: _pooled_spread(st, sizes)[iu].min()),
+    2: ({"bmax_off"}, lambda st, sizes, iu: st["bmax"][iu].min(axis=-1)),
+    3: ({"bsum"}, lambda st, sizes, iu: (st["bsum"] / _outer(np.multiply, sizes))[iu].min(axis=-1)),
+    4: ({"t"}, lambda st, sizes, iu: _centroid_gaps(st["t"], sizes)[iu].min(axis=-1)),
+    5: ({"t", "sdc"}, lambda st, sizes, iu: _pooled_spread(st, sizes)[iu].min(axis=-1)),
 }
 _COMPACTNESSES = {
-    1: ({"bmax_diag"}, lambda st, sizes: st["bmax"].diagonal().max()),
+    1: ({"bmax_diag"}, lambda st, sizes: _diagonal(st["bmax"]).max(axis=-1)),
     2: ({"bsum"}, _mean_within),
-    3: ({"t", "sdc"}, lambda st, sizes: (st["sdc"] / sizes).max()),
+    3: ({"t", "sdc"}, lambda st, sizes: (st["sdc"] / sizes).max(axis=-1)),
 }
 
 
 class GDunnEvaluator(_ClusterStatsEvaluator):
-    """All 15 GDunn variants: one separation over one compactness.
-
-    d1 and d2 over D1 read only exact minima and maxima of distances, and
-    scan with the farthest-point matrix; the others peek each move.
-    """
+    """All 15 GDunn variants: one separation over one compactness."""
 
     def _init_state(self) -> None:
         sep_needs, self._separation = _SEPARATIONS[self.spec.d_variant]
         comp_needs, self._compactness = _COMPACTNESSES[self.spec.big_d_variant]
         self.needs = frozenset(sep_needs | comp_needs)
-        self._iu = np.triu_indices(self._k, 1)
+        self._iu = (..., *np.triu_indices(self._k, 1))
         super()._init_state()
 
-    def _scan(self, points: np.ndarray, targets) -> np.ndarray:
-        if not self.needs <= {"cross", "bmax_off", "bmax_diag"}:
-            return super()._scan(points, targets)
-        # a move p: a -> j of a point that witnesses no block maximum keeps
-        # every block of a, and block (j, i) becomes max(bmax[j, i], far[p, i]),
-        # i = a and i = j included; the witnesses' moves are peeked, and so
-        # are, for d1, the two moves that remove the smallest cross edge
-        bmax, far = self._st["bmax"], self._far[points]
-        diameter = bmax.diagonal().max()
-        out = np.full((len(points), self._k), -_INF)
-        redo = []
-        if "cross" in self.needs:
-            num, redo = self._mst.scan_cross("Min", self._labels)
-            num = num[points]
-        for j in targets:
-            if "cross" not in self.needs:
-                grown = np.maximum(bmax[j], far)
-                grown[:, j] = _INF
-                apart = (self._iu[0] != j) & (self._iu[1] != j)  # blocks not touching j
-                num = np.minimum(grown.min(axis=1), bmax[self._iu][apart].min(initial=_INF))
-            den = np.maximum(diameter, far[:, j])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[:, j] = np.where(den <= 0.0, _INF, num / den)
-        witnesses = points[self._witness[points]].tolist()
-        self._peek_cells(out, points, targets, [(p, j) for p in witnesses for j in targets] + redo)
-        return out
-
-    def _value_of(self, st: dict, sizes: np.ndarray) -> float:
-        num = float(self._separation(st, sizes, self._iu))
-        return _ratio(num, float(self._compactness(st, sizes)))
+    def _value_of(self, st: dict, sizes: np.ndarray):
+        num, den = self._separation(st, sizes, self._iu), self._compactness(st, sizes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den <= 0.0, _INF, num / den)
 
 
 class DuNNEvaluator(CVIEvaluator):
@@ -830,7 +812,7 @@ class DuNNEvaluator(CVIEvaluator):
         den = self._split.aggregate(self.spec.owa_c, 1, to_cross, to_within)
         if den is None:
             return -_INF  # no within edges to witness compactness
-        return _ratio(num, den)
+        return _INF if den <= 0.0 else num / den
 
     def _full_value(self) -> float:
         return self._value_for(_NO_EDGES, _NO_EDGES)
@@ -841,14 +823,20 @@ class DuNNEvaluator(CVIEvaluator):
     def _apply(self, m: Move) -> None:
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
+    def _peek_cells(self, out: np.ndarray, points: np.ndarray, targets, cells) -> None:
+        """Write a peek into ``out[r, j]`` for each (point, target) of
+        ``cells`` that is a valid move of ``points[r]`` to one of ``targets``."""
+        for p, j in dict.fromkeys(cells):
+            a, rows = int(self._labels[p]), np.flatnonzero(points == p)
+            if len(rows) and j != a and j in targets and self._sizes[a] >= 2:
+                out[rows, j] = self._peek(Move(p, a, j))
+
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
         # _value_for over the side scans of every valid move; a Min or Max
         # separation over a Const compactness, whose value is the
         # separation, reads scan_cross (scan_side gives the same bits about
-        # 6x slower); a Mean runs the _peek loop
+        # 6x slower)
         sep, comp, lab = self.spec.owa_s, self.spec.owa_c, self._labels
-        if "Mean" in (sep.kind, comp.kind):
-            return super()._scan(points, targets)
         if sep.kind in ("Min", "Max") and comp.is_const:
             num, redo = self._split.scan_cross(sep.kind, lab)
             out = np.repeat(np.where(np.isnan(num), _INF, num)[points, None], self._k, axis=1)

@@ -147,8 +147,9 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     return Dataset(np.asarray(rows, dtype=np.float64))
 
 
-def load_labels(path: str | os.PathLike, n: int) -> np.ndarray:
-    """Read a label file: one integer per line, exactly ``n`` lines.
+def load_labels(path: str | os.PathLike, n: int | None = None) -> np.ndarray:
+    """Read a label file: one integer per line, exactly ``n`` lines (any
+    number for ``n=None``).
 
     Returns the labels in the external convention (0 = noise, clusters
     numbered from 1).
@@ -166,7 +167,7 @@ def load_labels(path: str | os.PathLike, n: int) -> np.ndarray:
             if v < 0:
                 raise DataFormatError(f"{path}:{lineno}: negative label {v}")
             values.append(v)
-    if len(values) != n:
+    if n is not None and len(values) != n:
         raise LengthMismatchError(f"{path}: {len(values)} labels, expected {n}")
     return np.asarray(values, dtype=np.int64)
 

@@ -90,25 +90,27 @@ def best_reference_score(outputs: Mapping[int, Sequence[int]], refs: ReferenceSe
     return best
 
 
-_AGGREGATORS = ("mean", "median", "q3")
+_AGGREGATORS = {"mean": np.mean, "median": np.median, "q3": lambda v: np.percentile(v, 75)}
 
 
 def method_dissimilarity(
-    results: Mapping[str, Mapping[str, Sequence[int]]], aggregator: str = "mean"
-) -> tuple[list[str], np.ndarray]:
-    """Pairwise method distances: aggregated (1 - raw ARI) over shared units.
+    results: Mapping[str, Mapping[str, Sequence[int]]], aggregators: Sequence[str] = ("mean",)
+) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Pairwise method distances: aggregated (1 - raw ARI) over shared units,
+    as one matrix per aggregator, from one ARI per pair and unit.
 
-    ``results`` maps method name -> unit id -> label vector; the aggregator
+    ``results`` maps method name -> unit id -> label vector; each aggregator
     is one of mean, median, q3 (type-7 quartile).  Reference labels play no
     role here and ARIs are deliberately not clamped.
     """
-    if aggregator not in _AGGREGATORS:
-        raise ParameterError(f"aggregator must be one of {_AGGREGATORS}")
+    for aggregator in aggregators:
+        if aggregator not in _AGGREGATORS:
+            raise ParameterError(f"aggregator must be one of {tuple(_AGGREGATORS)}")
     names = list(results.keys())
     if len(names) < 2:
         raise ParameterError("need at least two methods to compare")
     m = len(names)
-    mat = np.zeros((m, m))
+    mats = {agg: np.zeros((m, m)) for agg in aggregators}
     for i in range(m):
         for j in range(i + 1, m):
             shared = sorted(set(results[names[i]]) & set(results[names[j]]))
@@ -120,14 +122,9 @@ def method_dissimilarity(
                 1.0 - adjusted_rand(results[names[i]][u], results[names[j]][u])
                 for u in shared
             ]
-            if aggregator == "mean":
-                agg = float(np.mean(vals))
-            elif aggregator == "median":
-                agg = float(np.median(vals))
-            else:
-                agg = float(np.percentile(vals, 75))
-            mat[i, j] = mat[j, i] = agg
-    return names, mat
+            for agg, mat in mats.items():
+                mat[i, j] = mat[j, i] = float(_AGGREGATORS[agg](vals))
+    return names, mats
 
 
 @dataclass

@@ -60,16 +60,18 @@ class DistanceProvider:
     def row(self, i: int) -> np.ndarray:
         return self.rows(slice(i, i + 1))[0]
 
-    def cluster_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
-        """(n, k) sums of each point's distances to the members of every
-        cluster, added in point order.  Rows are read in blocks of at most
-        ``_BLOCK_CELLS`` distances, so no n x n temporary is made."""
+    def cluster_sums(self, labels: np.ndarray, k: int, points=slice(None)) -> np.ndarray:
+        """(len(points), k) sums of the distances of each of ``points`` (by
+        default every point) to the members of every cluster, added in
+        point order.  Rows are read in blocks of at most ``_BLOCK_CELLS``
+        distances, so no n x n temporary is made."""
         n = self._ds.n
+        points = np.arange(n)[points]
         step = max(1, _BLOCK_CELLS // n)
         keys = (np.arange(step)[:, None] * k + labels).ravel()  # (row, cluster) cells
-        out = np.empty((n, k))
-        for lo in range(0, n, step):
-            block = self.rows(slice(lo, lo + step))
+        out = np.empty((len(points), k))
+        for lo in range(0, len(points), step):
+            block = self.rows(points[lo : lo + step])
             m = len(block)
             out[lo : lo + m] = np.bincount(keys[: m * n], block.ravel(), m * k).reshape(m, k)
         return out

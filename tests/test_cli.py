@@ -239,6 +239,19 @@ def test_meta_cluster_outputs(tmp_path):
     assert float(merges[0]["height"]) == pytest.approx(0.0)
 
 
+def test_meta_cluster_bad_labels_file_is_a_clean_error(tmp_path, capsys):
+    battery = write_battery(tmp_path / "battery")
+    path, cfg = make_config(tmp_path, battery, specs=["CalinskiHarabasz", "BallHall"])
+    rows, _ = run_benchmark(RunConfig.load(str(path)))
+    bad = next(r for r in rows if r["status"] == "ok")
+    with open(os.path.join(cfg["output_dir"], bad["labels_path"]), "a") as fh:
+        fh.write("1.5\n")
+    records = os.path.join(cfg["output_dir"], "records.csv")
+    assert cli.main(["meta-cluster", "--records", records]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(": not an integer")
+
+
 def test_cli_score_command(tmp_path, capsys):
     ref = tmp_path / "ref.labels"
     ref.write_text("1\n1\n2\n2\n")

@@ -143,11 +143,15 @@ def test_scan_of_some_points_and_targets_equals_full_scan(text):
 # the farthest-point scans of GDunn and the side scans of DuNN: a smooth
 # separation over every kind of compactness; with M = 3 a side often holds
 # fewer than 3 delta edges (12 for SMin:4 and SMax:4)
-EXTREME_SCAN_SPECS = ["GDunn_d1_D1", "GDunn_d2_D1"] + [
-    f"DuNN_3_{sep}_{comp}"
-    for sep in ("SMin:4", "SMax:2")
-    for comp in ("Min", "Max", "Const", "SMin:3", "SMax:4")
-]
+EXTREME_SCAN_SPECS = (
+    ["GDunn_d1_D1", "GDunn_d2_D1"]
+    + [
+        f"DuNN_3_{sep}_{comp}"
+        for sep in ("SMin:4", "SMax:2")
+        for comp in ("Min", "Max", "Const", "SMin:3", "SMax:4")
+    ]
+    + ["DuNN_3_Mean_Mean", "DuNN_3_SMin:4_Mean", "DuNN_3_Mean_Const"]
+)
 
 
 @pytest.mark.parametrize(
@@ -156,6 +160,7 @@ EXTREME_SCAN_SPECS = ["GDunn_d1_D1", "GDunn_d2_D1"] + [
 @pytest.mark.parametrize(
     "text",
     ["Silhouette", "SilhouetteW", "DaviesBouldin", "BallHall", "CalinskiHarabasz", "WCNN_5"]
+    + ["GDunn_d3_D2", "GDunn_d4_D3", "GDunn_d5_D1"]
     + EXTREME_SCAN_SPECS,
 )
 def test_block_scan_equals_peek(text, limit, cells, monkeypatch):
@@ -204,12 +209,26 @@ def test_farthest_point_matrix_equals_recompute(text, limit, cells, monkeypatch)
             ev.commit(moves[int(rng.integers(len(moves)))])
 
 
+@pytest.mark.parametrize("n, edges", [(50, 120), (300, 1), (70_000, 5), (70_000, 3000)])
+def test_incidence_groups_as_the_int64_sort(n, edges):
+    # the ends are sorted as the smallest unsigned type holding n: the
+    # stable order of the int64 ends, for 8-, 16- and 32-bit keys alike
+    rng = np.random.default_rng(n + edges)
+    u, v = rng.integers(n, size=edges), rng.integers(n, size=edges)
+    ends = np.concatenate([u, v])
+    by_point = np.argsort(ends, kind="stable")
+    got = evaluators._incidence(u, v, n)
+    want = (ends[by_point], np.tile(np.arange(edges), 2)[by_point], np.concatenate([v, u])[by_point])
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and (a == b).all()
+    assert (got[3] == np.searchsorted(ends[by_point], np.arange(n + 1))).all()
+
+
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_commit_reuses_only_the_last_peek_of_its_move(text):
-    # commit(m) takes the value (and GDunn's statistics) of peek(m) when
-    # that was the last peek, scan or commit; after peek(m) and scan(), or
-    # peek(m), scan() and peek(m2), it recomputes m; either way the value
-    # matches the definition
+    # commit(m) takes the value of peek(m) when that was the last peek,
+    # scan or commit; after peek(m) and scan(), or peek(m), scan() and
+    # peek(m2), it recomputes m; either way the value matches the definition
     spec = parse_spec(text)
     rng = np.random.default_rng(zlib.crc32(b"reuse " + text.encode()))
     ds = make_dataset(rng, 24, 2)

@@ -72,6 +72,14 @@ def test_load_labels(tmp_path):
     assert dataio.load_labels(path, 4).tolist() == [1, 1, 2, 2]
 
 
+def test_load_labels_of_any_length(tmp_path):
+    path = tmp_path / "l.labels"
+    path.write_text("3\n1\n\n2\n")
+    assert dataio.load_labels(path).tolist() == [3, 1, 2]
+    with pytest.raises(LengthMismatchError):
+        dataio.load_labels(path, 4)
+
+
 def test_load_labels_noise_marker(tmp_path):
     path = tmp_path / "l.labels"
     path.write_text("0\n1\n2\n")

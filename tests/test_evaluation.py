@@ -9,6 +9,7 @@ from cviopt.errors import (
     ContractViolationError,
     LengthMismatchError,
     MissingOverlapError,
+    ParameterError,
     UndefinedScoreError,
 )
 from cviopt.evaluation import (
@@ -103,7 +104,8 @@ def test_method_dissimilarity_hand_example():
         "b": {"d1": [1, 1, 0, 0], "d2": [0, 1, 0, 1]},
         "c": {"d1": [0, 1, 1, 0], "d2": [0, 0, 1, 1]},
     }
-    names, mat = method_dissimilarity(results, "mean")
+    names, mats = method_dissimilarity(results, ["mean"])
+    mat = mats["mean"]
     assert names == ["a", "b", "c"]
     assert np.allclose(np.diag(mat), 0.0)
     assert np.allclose(mat, mat.T)
@@ -121,7 +123,7 @@ def test_method_dissimilarity_hand_example():
 def test_method_dissimilarity_missing_overlap():
     results = {"a": {"d1": [0, 1]}, "b": {"d2": [0, 1]}}
     with pytest.raises(MissingOverlapError):
-        method_dissimilarity(results, "mean")
+        method_dissimilarity(results, ["mean"])
 
 
 def test_method_dissimilarity_aggregators_differ():
@@ -130,11 +132,26 @@ def test_method_dissimilarity_aggregators_differ():
         m: {f"d{i}": rng.integers(0, 3, size=8).tolist() for i in range(5)}
         for m in ("u", "v")
     }
-    vals = {}
-    for agg in ("mean", "median", "q3"):
-        _, mat = method_dissimilarity(results, agg)
-        vals[agg] = mat[0, 1]
-    assert len(set(vals.values())) >= 2
+    _, mats = method_dissimilarity(results, ("mean", "median", "q3"))
+    assert len({mat[0, 1] for mat in mats.values()}) >= 2
+
+
+def test_method_dissimilarity_scores_each_pair_once_for_all_aggregators(monkeypatch):
+    # one ARI per method pair and shared unit, whatever the aggregators;
+    # an unknown aggregator fails before any is computed
+    rng = np.random.default_rng(2)
+    results = {m: {f"d{i}": rng.integers(0, 3, size=8) for i in range(4)} for m in "uvw"}
+    calls = []
+    ari = evaluation.adjusted_rand
+    monkeypatch.setattr(evaluation, "adjusted_rand", lambda a, b: calls.append(1) or ari(a, b))
+    with pytest.raises(ParameterError):
+        method_dissimilarity(results, ("mean", "bogus"))
+    assert calls == []
+    names, mats = method_dissimilarity(results, ("mean", "median", "q3"))
+    assert len(calls) == 3 * 4
+    vals = [[1.0 - ari(results[a][u], results[b][u]) for u in results[a]] for a, b in ("uv", "uw", "vw")]
+    for agg, reduce in (("mean", np.mean), ("median", np.median), ("q3", lambda v: np.percentile(v, 75))):
+        assert [mats[agg][0, 1], mats[agg][0, 2], mats[agg][1, 2]] == [float(reduce(v)) for v in vals]
 
 
 def test_complete_linkage_hand_example():

@@ -29,14 +29,13 @@ SPECS = [
     "Silhouette",
     "SilhouetteW",
     "DaviesBouldin",
-    "GDunn_d1_D1",
-    "GDunn_d2_D1",
-    "GDunn_d3_D2",
-    "GDunn_d5_D3",
+    *(f"GDunn_d{d}_D{D}" for d in (1, 2, 3, 4, 5) for D in (1, 2, 3)),
     "DuNN_4_Min_Const",
     "DuNN_4_SMin:2_Max",
     "DuNN_4_SMax:1_SMin:2",
     "DuNN_3_Mean_Mean",
+    "DuNN_4_Mean_Const",
+    "DuNN_4_SMin:2_Mean",
 ]
 # (seed, n, d, k): the datasets, each with a random start
 CASES = [(1, 12, 2, 3), (2, 11, 9, 2), (3, 12, 12, 4)]

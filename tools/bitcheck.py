@@ -52,13 +52,7 @@ SPECS = [
     "Silhouette",
     "SilhouetteW",
     "WCNN_5",
-    "GDunn_d1_D1",
-    "GDunn_d2_D1",
-    "GDunn_d1_D2",
-    "GDunn_d2_D2",
-    "GDunn_d4_D1",
-    "GDunn_d3_D2",
-    "GDunn_d5_D3",
+    *(f"GDunn_d{d}_D{D}" for d in (1, 2, 3, 4, 5) for D in (1, 2, 3)),
     "DuNN_5_Min_Const",
     "DuNN_5_Max_Const",
     "DuNN_5_SMin:2_Max",
@@ -68,6 +62,10 @@ SPECS = [
     "DuNN_4_Min_SMin:2",
     "DuNN_4_Max_Min",
     "DuNN_3_Mean_Mean",
+    "DuNN_3_Mean_Min",
+    "DuNN_3_Max_Mean",
+    "DuNN_4_SMin:2_Mean",
+    "DuNN_5_Mean_Const",
 ]
 
 
