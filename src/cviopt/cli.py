@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dataio, optim
 from .cvi import parse_spec
-from .errors import ConfigError, CviOptError
+from .errors import ConfigError, CviOptError, DataParseError
 from .evaluation import (
     adjusted_rand,
     clamp_score,
@@ -80,7 +80,9 @@ class RunConfig:
     jobs: int = 1
 
     @classmethod
-    def load(cls, path: str) -> "RunConfig":
+    def load(cls, path: str, **overrides) -> "RunConfig":
+        """The config of the JSON file ``path``, its keys replaced by the
+        ``overrides`` that are not None, all checked alike."""
         try:
             with open(path, "rt", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -95,13 +97,15 @@ class RunConfig:
         missing = {"battery_root", "output_dir", "specs"} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raw.update({key: value for key, value in overrides.items() if value is not None})
         hints = typing.get_type_hints(cls)
         for key, value in raw.items():
             if not _is_a(value, hints[key]):
                 raise ConfigError(f"config key {key!r} must be {fields[key].type}: {value!r}")
         cfg = cls(**raw)
-        if cfg.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        for key in ("patience", "jobs"):
+            if getattr(cfg, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         for key in ("n_random", "n_vantage", "kmeans_restarts"):
             if getattr(cfg, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
@@ -307,12 +311,17 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set, setups: d
 
 
 def _read_records(path: str) -> list[dict]:
+    """The rows of the records file ``path``, none if there is no file;
+    a file whose header is not ``RECORD_FIELDS`` is a ``ConfigError``."""
     if not os.path.exists(path):
         return []
     with open(path, "rt", encoding="utf-8", newline="") as fh:
         text = fh.read()
     # a row counts once its line ends: a tail cut off mid-append is dropped
-    return list(csv.DictReader(io.StringIO(text[: text.rfind("\n") + 1])))
+    reader = csv.DictReader(io.StringIO(text[: text.rfind("\n") + 1]))
+    if reader.fieldnames != RECORD_FIELDS:
+        raise ConfigError(f"{path} is not a records file: its header is not {','.join(RECORD_FIELDS)}")
+    return list(reader)
 
 
 def _write_records(path: str, rows: list[dict]) -> None:
@@ -354,12 +363,6 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     if not datasets:
         raise ConfigError("no datasets selected")
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(
-        os.path.join(cfg.output_dir, "config_snapshot.json"), "wt", encoding="utf-8"
-    ) as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-
     jobs = [(d, s) for d in datasets for s in cfg.specs]
     records_path = os.path.join(cfg.output_dir, "records.csv")
     # a job run again writes its skipped/failed rows afresh
@@ -371,6 +374,11 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     ]
     done = {(r["dataset"], r["method"], str(r["k"])) for r in all_rows if r["status"] == "ok"}
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(
+        os.path.join(cfg.output_dir, "config_snapshot.json"), "wt", encoding="utf-8"
+    ) as fh:
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
     _write_records(records_path, all_rows)
     setups: dict = {}
     with open(records_path, "at", encoding="utf-8", newline="") as fh:
@@ -408,7 +416,12 @@ def summarize(rows: list[dict]) -> list[dict]:
         if r["status"] != "ok" or r["q"] == "":
             continue
         method = r["method"]
-        q = float(r["q"])
+        try:
+            q = float(r["q"])
+        except ValueError:
+            q = np.nan
+        if not np.isfinite(q):
+            raise DataParseError(f"q {r['q']!r} of {method} on {r['dataset']} is not a finite number")
         bucket = per_method.setdefault(method, {})
         bucket[r["dataset"]] = max(bucket.get(r["dataset"], 0.0), q)
     out = []
@@ -521,11 +534,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = RunConfig.load(args.config)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
+    cfg = RunConfig.load(args.config, jobs=args.jobs, output_dir=args.output_dir)
     rows, failures = run_benchmark(cfg)
     ok = sum(1 for r in rows if r["status"] == "ok")
     skipped = sum(1 for r in rows if r["status"] == "skipped")

@@ -490,11 +490,10 @@ class _EdgeSplit:
                 out[r] = np.where(z > 0, (self._sums[side] - sums[0] + sums[1]) / z, np.nan)
         return out
 
-    def scan_cross(self, kind: str, labels: np.ndarray):
-        """``aggregate`` of a Min or Max cross side after every move of each
-        point, as (n,) weights, NaN where the side ends empty, on the
-        premise that the move keeps the side's extreme edge; and the two
-        moves (p, j) that remove that edge, which the caller recomputes."""
+    def scan_cross(self, kind: str, labels: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+        """``aggregate`` of a Min or Max cross side after each move of a
+        point ``p[r]`` to each of the ``k`` clusters, as (len(p), k)
+        weights, NaN where the side ends empty."""
         # moving p out of its cluster turns p's edges within it cross,
         # whatever the target, so the side gains their extreme rank
         pick = np.minimum if kind == "Min" else np.maximum
@@ -504,10 +503,19 @@ class _EdgeSplit:
         w = np.append(self._w, np.nan)  # both "no edge" ranks read NaN
         ranks = self._sides[0]
         if not len(ranks):
-            return w[added], []
+            return np.repeat(w[added[p], None], k, axis=1)
+        # the side keeps its extreme edge (u, v) but in the moves of u to
+        # v's cluster and of v to u's, which aggregate from their own flips
         r = ranks[0] if kind == "Min" else ranks[-1]
+        out = np.repeat(w[pick(added[p], r), None], k, axis=1)
         u, v = int(self._u[r]), int(self._v[r])
-        return w[pick(added, r)], [(u, int(labels[v])), (v, int(labels[u]))]
+        for q, j in ((u, int(labels[v])), (v, int(labels[u]))):
+            rows = p == q
+            if rows.any():
+                to_cross, to_within = self.flips(labels, q, int(labels[q]), j)
+                num = self.aggregate(owa.OWASpec(kind), 0, to_within, to_cross)
+                out[rows, j] = np.nan if num is None else num
+        return out
 
 
 def _stack(v: np.ndarray, n: int) -> np.ndarray:
@@ -533,10 +541,12 @@ class _ClusterStatsEvaluator(CVIEvaluator):
       cross-cluster pair always lies on the Euclidean MST), kept by an
       ``_EdgeSplit`` of the MST;
     - ``bmax``: k x k block distance maxima, off-diagonal blocks for
-      ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``, read
-      off the n x k farthest-point matrix ``self._far``: ``_far[p, j]`` is
-      the largest distance from p to a member of cluster j.  Each tracked
-      block has a witness pair in ``self._wit``;
+      ``bmax_off`` and diagonal ones (diameters) for ``bmax_diag``, NaN in
+      the blocks not tracked, read off the n x k farthest-point matrix
+      ``self._far``: ``_far[p, j]`` is the largest distance from p to a
+      member of cluster j, so block (i, j) is the largest ``_far[p, j]``
+      over the members p of i, and it can change when p leaves i only if
+      ``_far[p, j]`` equals it;
     - ``bsum``: k x k block distance sums (the diagonal counts each pair twice);
     - ``t``/``sdc``: per-cluster point sums and distance-to-centroid sums.
 
@@ -561,8 +571,7 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             eye = np.eye(k, dtype=bool)
             track = ("bmax_off" in needs) & ~eye | ("bmax_diag" in needs) & eye
             self._track = [np.flatnonzero(row).tolist() for row in track]
-            st["bmax"] = np.zeros((k, k))
-            self._wit = np.full((k, k, 2), -1, dtype=np.int64)
+            st["bmax"] = np.full((k, k), np.nan)  # no distance equals NaN
             self._far = self._dp.cluster_maxima(self._labels, k)
         self._refresh(range(k))
 
@@ -585,33 +594,28 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         if "cross" in self.needs:
             st["cross"] = self._mst.aggregate(_MIN, 0, _NO_EDGES, _NO_EDGES)
         if "bmax" in st:
-            for i, j in dict.fromkeys((min(i, j), max(i, j)) for i in rows for j in self._track[i]):
-                value, u = self._block_max(i, j, mem[i])
-                st["bmax"][i, j] = st["bmax"][j, i] = value
-                v = int(mem[j][self._dp.sub([u], mem[j])[0].argmax()])
-                self._wit[i, j], self._wit[j, i] = (u, v), (v, u)
-            self._witness = np.zeros(self._n, dtype=bool)
-            for i, cols in enumerate(self._track):
-                self._witness[self._wit[i, cols]] = True
+            for i in rows:
+                # distances are symmetric to the bit, so a block reads the
+                # same maximum from either of its clusters
+                cols = self._track[i]
+                st["bmax"][i, cols] = st["bmax"][cols, i] = self._far[mem[i]][:, cols].max(axis=0)
 
-    def _block_max(self, i: int, j: int, mem_i: np.ndarray, gone: int | None = None):
-        """Maximum of block (i, j), read off ``_far``, and the first member
-        of ``mem_i`` whose farthest point reaches it.  ``mem_i`` holds the
-        members of i, or, with ``gone``, those less that point; j is then i
-        or a cluster that keeps its members."""
-        far = self._far[mem_i, j]
-        if gone is not None and j == i:
+    def _block_max(self, i: int, j: int, rest: np.ndarray, gone: int):
+        """Maximum of block (i, j) once ``gone`` leaves i, read off ``_far``:
+        ``rest`` holds the other members of i, and j is i or a cluster that
+        keeps its members."""
+        far = self._far[rest, j]
+        if j == i:
             # rows whose farthest was the gone point drop to their farthest
-            # in mem_i, at most their old value; recompute only those that
+            # in rest, at most their old value; recompute only those that
             # could still reach the largest of the other rows
-            stale = far == self._dp.row(gone)[mem_i]
+            stale = far == self._dp.row(gone)[rest]
             top = far[~stale].max(initial=-_INF)
-            redo = np.flatnonzero(stale & (far >= top))
+            reach = np.flatnonzero(stale & (far >= top))
             far[stale] = -_INF
-            for rows in row_blocks(redo, len(mem_i)):
-                far[rows] = self._dp.sub(mem_i[rows], mem_i).max(axis=1)
-        u = int(far.argmax())
-        return far[u], int(mem_i[u])
+            for rows in row_blocks(reach, len(rest)):
+                far[rows] = self._dp.sub(rest[rows], rest).max(axis=1)
+        return far.max()
 
     def _value_of(self, st: dict, sizes: np.ndarray):
         raise NotImplementedError
@@ -623,19 +627,11 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         """The parts of the moves of ``p[r]`` out of cluster ``a[r]`` that do
         not depend on the target: the sdc and the bmax row of a less p;
         p's distance sums and farthest distances to every cluster; and the
-        cross weight after each move, (len(p), k), from ``scan_cross`` but
-        for the two moves that remove the smallest cross edge, which come
-        from their own edge flips."""
+        cross weight after each move, (len(p), k), from ``scan_cross``."""
         st, mem, lab = self._st, self._mem, self._labels
         out = {}
         if "cross" in st:
-            num, redo = self._mst.scan_cross("Min", lab)
-            cross = out["cross"] = np.repeat(num[p, None], self._k, axis=1)
-            for q, j in redo:
-                rows = p == q
-                if rows.any():
-                    to_cross, to_within = self._mst.flips(lab, q, int(lab[q]), j)
-                    cross[rows, j] = self._mst.aggregate(_MIN, 0, to_within, to_cross)
+            out["cross"] = self._mst.scan_cross("Min", lab, p, self._k)
         if "bsum" in st:
             out["bsum"] = self._dp.cluster_sums(lab, self._k, p)
         if "sdc" in st:
@@ -651,15 +647,16 @@ class _ClusterStatsEvaluator(CVIEvaluator):
                     keep[np.arange(len(pos)), pos] = False
                     sdc[r] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
         if "bmax" in st:
-            # a block of a changes only if p witnessed its maximum
-            out["far"] = self._far[p]
+            # a tracked block (a, j) changes only where p's farthest
+            # distance into j equals its maximum (untracked ones are NaN)
+            far = out["far"] = self._far[p]
             rows = out["bmax"] = st["bmax"][a]
-            for r in np.flatnonzero(self._witness[p]).tolist():
+            hit = far == rows
+            for r in np.flatnonzero(hit.any(axis=1)).tolist():
                 q, i = int(p[r]), int(a[r])
                 rest = mem[i][mem[i] != q]
-                for j in self._track[i]:
-                    if q in self._wit[i, j]:
-                        rows[r, j] = self._block_max(i, j, rest, q)[0]
+                for j in np.flatnonzero(hit[r]).tolist():
+                    rows[r, j] = self._block_max(i, j, rest, q)
         return out
 
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
@@ -823,14 +820,6 @@ class DuNNEvaluator(CVIEvaluator):
     def _apply(self, m: Move) -> None:
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
-    def _peek_cells(self, out: np.ndarray, points: np.ndarray, targets, cells) -> None:
-        """Write a peek into ``out[r, j]`` for each (point, target) of
-        ``cells`` that is a valid move of ``points[r]`` to one of ``targets``."""
-        for p, j in dict.fromkeys(cells):
-            a, rows = int(self._labels[p]), np.flatnonzero(points == p)
-            if len(rows) and j != a and j in targets and self._sizes[a] >= 2:
-                out[rows, j] = self._peek(Move(p, a, j))
-
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
         # _value_for over the side scans of every valid move; a Min or Max
         # separation over a Const compactness, whose value is the
@@ -838,10 +827,8 @@ class DuNNEvaluator(CVIEvaluator):
         # 6x slower)
         sep, comp, lab = self.spec.owa_s, self.spec.owa_c, self._labels
         if sep.kind in ("Min", "Max") and comp.is_const:
-            num, redo = self._split.scan_cross(sep.kind, lab)
-            out = np.repeat(np.where(np.isnan(num), _INF, num)[points, None], self._k, axis=1)
-            self._peek_cells(out, points, targets, redo)
-            return out
+            num = self._split.scan_cross(sep.kind, lab, points, self._k)
+            return np.where(np.isnan(num), _INF, num)
         # a move of p from a to j: the cross side loses p's edges into j and
         # gains those into a, the within side the reverse
         src = lab[points]

@@ -522,3 +522,48 @@ def test_resume_reruns_a_row_cut_off_mid_write(tmp_path):
         fh.write(text[:-4])  # the last row loses its line end and a field's tail
     run_benchmark(RunConfig.load(str(path)))
     assert strip(read_records(cfg["output_dir"])) == whole
+
+
+def test_foreign_records_file_is_a_clean_error_and_left_untouched(tmp_path, capsys):
+    battery = write_battery(tmp_path / "battery")
+    path, cfg = make_config(tmp_path, battery, specs=["BallHall"])
+    os.makedirs(cfg["output_dir"])
+    records = os.path.join(cfg["output_dir"], "records.csv")
+    with open(records, "w", newline="") as fh:
+        fh.write("foo,bar\n1,2\n")
+    commands = (
+        ["run", "--config", str(path)],
+        ["summarize", "--records", records],
+        ["meta-cluster", "--records", records],
+    )
+    for argv in commands:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {records} is not a records file") and "Traceback" not in err
+    with open(records, newline="") as fh:
+        assert fh.read() == "foo,bar\n1,2\n"
+
+
+def test_summarize_non_numeric_q_is_a_clean_error(tmp_path, capsys):
+    records = str(tmp_path / "records.csv")
+    row = {f: "" for f in cli.RECORD_FIELDS}
+    row.update(dataset="toy/pairs", method="BallHall", k="2", status="ok", q="abc")
+    cli._write_records(records, [row])
+    assert cli.main(["summarize", "--records", records]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'abc'" in err and "BallHall" in err and "toy/pairs" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_clean_error(tmp_path, capsys, jobs):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, jobs=jobs)
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        RunConfig.load(str(path))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    # the flag goes through the same checks as the config key
+    good, cfg = make_config(tmp_path, battery, out_name="flag")
+    assert cli.main(["run", "--config", str(good), "--jobs", str(jobs)]) == 1
+    assert capsys.readouterr().err.count("error: jobs must be >= 1") == 2
+    assert not os.path.exists(cfg["output_dir"])

@@ -140,17 +140,20 @@ def test_scan_of_some_points_and_targets_equals_full_scan(text):
                 assert (part[valid] == full[points][:, targets][valid]).all(), f"{text} {size}"
 
 
-# the farthest-point scans of GDunn and the side scans of DuNN: a smooth
-# separation over every kind of compactness; with M = 3 a side often holds
-# fewer than 3 delta edges (12 for SMin:4 and SMax:4)
+# the farthest-point scans of GDunn (off-diagonal and diagonal blocks, each
+# alone), its cross scan (d1), and the side scans of DuNN: a smooth
+# separation over every kind of compactness, and the cross scan of a Min
+# or Max one over Const; with M = 3 a side often holds fewer than 3 delta
+# edges (12 for SMin:4 and SMax:4)
 EXTREME_SCAN_SPECS = (
-    ["GDunn_d1_D1", "GDunn_d2_D1"]
+    ["GDunn_d1_D1", "GDunn_d2_D1", "GDunn_d2_D3", "GDunn_d4_D1"]
     + [
         f"DuNN_3_{sep}_{comp}"
         for sep in ("SMin:4", "SMax:2")
         for comp in ("Min", "Max", "Const", "SMin:3", "SMax:4")
     ]
     + ["DuNN_3_Mean_Mean", "DuNN_3_SMin:4_Mean", "DuNN_3_Mean_Const"]
+    + ["DuNN_3_Min_Const", "DuNN_3_Max_Const"]
 )
 
 
@@ -185,7 +188,7 @@ def test_block_scan_equals_peek(text, limit, cells, monkeypatch):
 def test_farthest_point_matrix_equals_recompute(text, limit, cells, monkeypatch):
     # from init (built in row blocks) and after every commit, _far[p, j] is
     # the largest distance from p to a member of j, and every tracked block
-    # maximum has a witness pair in its two clusters at that distance
+    # maximum is the largest distance between its two clusters
     monkeypatch.setattr(geometry, "DENSE_LIMIT", limit)
     if cells is not None:
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
@@ -202,9 +205,7 @@ def test_farthest_point_matrix_equals_recompute(text, limit, cells, monkeypatch)
             assert (ev._far == full).all()
             for i, cols in enumerate(ev._track):
                 for j in cols:
-                    u, v = ev._wit[i, j]
-                    assert (lab[u], lab[v]) == (i, j)
-                    assert dist[u, v] == ev._st["bmax"][i, j] == dist[lab == i][:, lab == j].max()
+                    assert ev._st["bmax"][i, j] == dist[lab == i][:, lab == j].max()
             moves = list(iter_moves(lab, ev.sizes, k))
             ev.commit(moves[int(rng.integers(len(moves)))])
 
