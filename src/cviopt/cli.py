@@ -113,6 +113,11 @@ class RunConfig:
             raise ConfigError("vantage_v must be >= 1 when n_vantage > 0")
         if not os.path.isdir(cfg.battery_root):
             raise ConfigError(f"battery root {cfg.battery_root!r} is not a directory")
+        if not cfg.specs:
+            raise ConfigError("specs must name at least one spec")
+        twice = sorted({s for s in cfg.specs if cfg.specs.count(s) > 1})
+        if twice:
+            raise ConfigError(f"specs listed more than once: {twice}")
         for s in cfg.specs:
             try:
                 parse_spec(s)

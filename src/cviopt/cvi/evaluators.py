@@ -7,16 +7,14 @@ from-scratch evaluations.  The contract is semantic: after any sequence of
 commits, ``value()`` agrees with the definitional implementation in
 :mod:`cviopt.cvi.indices` to 1e-9 relative.
 
-Each index has one move formula.  Every evaluator defines ``_scan`` (the
-moves of some points to some targets, at once), and ``peek`` is one cell
-of a one-point scan, except for DuNN, which defines a scalar ``_peek`` and
-scans every side of every move with the same minima, maxima, dot
-products and sums, bit for bit.  Silhouette, SilhouetteW, DaviesBouldin
-and GDunn scan in row blocks of at most ``geometry._BLOCK_CELLS`` cells;
-DaviesBouldin and the 15 GDunn variants share one scan, which builds the
-post-move per-cluster statistics of a block of moves and applies the
-index's formula to all of them at once.  ``commit`` reuses the last
-``peek`` when it was of the same move.
+Each index has one move formula: every evaluator defines ``_scan`` (the
+moves of some points to some targets, at once).  ``scan`` keeps its table
+until the next commit, and ``peek`` and ``commit`` read their move's cell
+from it, or, with no table, one cell of a one-point scan.  Silhouette,
+SilhouetteW, DaviesBouldin and GDunn scan in row blocks of at most
+``geometry._BLOCK_CELLS`` cells; DaviesBouldin and the 15 GDunn variants
+share one scan, which builds the post-move per-cluster statistics of a
+block of moves and applies the index's formula to all of them at once.
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
@@ -37,7 +35,6 @@ from .specs import CVISpec
 
 _INF = float("inf")
 _MIN = owa.OWASpec("Min")
-_NO_EDGES = np.empty(0, dtype=np.int64)
 
 
 class CVIEvaluator:
@@ -50,7 +47,7 @@ class CVIEvaluator:
         self._sizes = part.sizes.astype(np.int64).copy()
         self._k = part.k
         self._n = part.n
-        self._peeked: tuple | None = None  # (move, value) of the last peek
+        self._table: np.ndarray | None = None  # the last scan(), until a commit
         self._init_state()
         self._value = float(self._full_value())
 
@@ -81,34 +78,37 @@ class CVIEvaluator:
     def peek(self, m: Move) -> float:
         """Value the index would take after ``m``, without mutating state."""
         check_move(self._labels, self._sizes, self._k, m)
-        v = float(self._peek(m))
-        self._peeked = (m, v)
-        return v
+        return self._cell(m)
 
     def scan(self) -> np.ndarray:
-        """Value of every move as an (n, k) array: ``out[p, j]`` is
+        """Value of every move as a read-only (n, k) array: ``out[p, j]`` is
         ``peek(Move(p, labels[p], j))``, bit for bit; -inf in the own-cluster
-        cell and in every cell of a point whose cluster is a singleton."""
-        self._peeked = None  # the scan may peek moves itself
+        cell and in every cell of a point whose cluster is a singleton.
+        ``peek`` and ``commit`` read their move's cell until the next commit."""
         out = self._scan(np.arange(self._n), range(self._k))
         out[np.arange(self._n), self._labels] = -_INF
         out[self._sizes[self._labels] < 2] = -_INF
+        out.flags.writeable = False
+        self._table = out
         return out
 
     def commit(self, m: Move) -> None:
-        """Advance to the post-move partition; value() becomes peek(m),
-        reused when the last peek, scan or commit was ``peek(m)``."""
+        """Advance to the post-move partition; value() becomes peek(m)."""
         check_move(self._labels, self._sizes, self._k, m)
-        if self._peeked is not None and self._peeked[0] == m:
-            v = self._peeked[1]
-        else:
-            v = float(self._peek(m))
-        self._peeked = None
+        v = self._cell(m)
+        self._table = None
         self._labels[m.point] = m.dst
         self._sizes[m.src] -= 1
         self._sizes[m.dst] += 1
         self._apply(m)
         self._value = v
+
+    def _cell(self, m: Move) -> float:
+        """Value after the valid move ``m``: its cell of the last scan, or
+        one cell of a one-point scan."""
+        if self._table is None:
+            return float(self._scan(np.array([m.point]), (m.dst,))[0, m.dst])
+        return float(self._table[m.point, m.dst])
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -117,10 +117,6 @@ class CVIEvaluator:
 
     def _full_value(self) -> float:
         raise NotImplementedError
-
-    def _peek(self, m: Move) -> float:
-        """Value after the valid move ``m``: one cell of a one-point scan."""
-        return self._scan(np.array([m.point]), (m.dst,))[0, m.dst]
 
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
         """The ``scan`` rows of ``points``, as a (len(points), k) array, in
@@ -394,44 +390,27 @@ class _EdgeSplit:
         self._within[to_within] = True
         self._refresh()
 
-    def aggregate(self, spec: owa.OWASpec, side: int, removed: np.ndarray, added: np.ndarray):
-        """OWA of the side's weights after the ``removed`` ranks leave it and
-        the ``added`` ranks join it; None when that leaves it empty."""
-        if spec.is_const:
-            return 1.0
+    def value(self, spec: owa.OWASpec, side: int) -> float:
+        """OWA of the side's weights; NaN when the side is empty, but for
+        Const, which is 1."""
         ranks = self._sides[side]
-        z = len(ranks) - len(removed) + len(added)
-        if z <= 0:
-            return None
-        if spec.kind == "Mean":
-            return (self._sums[side] - self._w[removed].sum() + self._w[added].sum()) / z
-        # the t extreme weights after the move lie among the side's
-        # t + len(removed) extreme ranks and the added ones; a lower rank
-        # never has a larger weight, so Min and Max read an extreme rank
-        span = (1 if spec.delta is None else 3 * spec.delta) + len(removed)
-        near = (ranks[:span] if spec.kind in ("Min", "SMin") else ranks[-span:]).tolist()
-        if len(removed):
-            gone = set(removed.tolist())
-            near = [r for r in near if r not in gone]
-        cand = near + added.tolist()
-        if spec.kind == "Min":
-            return float(self._w[min(cand)])
-        if spec.kind == "Max":
-            return float(self._w[max(cand)])
-        return owa.aggregate(spec, self._w[cand])
+        if not len(ranks) and not spec.is_const:
+            return np.nan
+        return owa.aggregate(spec, self._w[ranks])
 
     def scan_side(self, spec: owa.OWASpec, side: int, labels, p, rm, add) -> np.ndarray:
-        """``aggregate`` of the side, NaN for None, after each move of a
-        point ``p[r]`` that takes its edges into cluster ``rm[r]`` out of
-        the side and its edges into ``add[r]`` in."""
+        """``value`` of the side, NaN where it ends empty, after each move
+        of a point ``p[r]`` that takes its edges into cluster ``rm[r]`` out
+        of the side and its edges into ``add[r]`` in."""
         if spec.is_const:
             return np.ones(len(p))
         if spec.kind == "Mean":
             return self._scan_mean(side, labels, p, rm, add)
-        # as in aggregate: the t extreme ranks after the move lie among the
-        # side's t + degree extreme ranks less the removed ones, and the
-        # added ones.  Ranks are keyed by nearness to the extreme, so the
-        # extremes sort first and the key e, which no edge has, pads.
+        # the t extreme weights after the move lie among the side's
+        # t + degree extreme ranks less the removed ones, and the added
+        # ones; a lower rank never has a larger weight.  Ranks are keyed by
+        # nearness to the extreme, so the extremes sort first and the key
+        # e, which no edge has, pads.
         t, e = (1 if spec.delta is None else 3 * spec.delta), len(self._w)
         low = spec.kind in ("Min", "SMin")
         near = (self._sides[side] if low else self._sides[side][::-1])[: t + self._degree]
@@ -470,9 +449,9 @@ class _EdgeSplit:
         return self._ranks[at], np.where(pad, -1, labels[self._opps[at]])
 
     def _scan_mean(self, side: int, labels, p, rm, add) -> np.ndarray:
-        # aggregate's (sums - removed + added) / z, each move's removed and
-        # added weights summed in incidence order: a row of a C-contiguous
-        # array sums as that row alone does, so rows of one count sum at once
+        # (sums - removed + added) / z, each move's removed and added
+        # weights summed in incidence order: a row of a C-contiguous array
+        # sums as that row alone does, so rows of one count sum at once
         out = np.empty(len(p))
         for r in row_blocks(np.arange(len(p)), 3 * self._degree):
             inc, lab = self._incident(labels, p[r])
@@ -491,30 +470,32 @@ class _EdgeSplit:
         return out
 
     def scan_cross(self, kind: str, labels: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
-        """``aggregate`` of a Min or Max cross side after each move of a
-        point ``p[r]`` to each of the ``k`` clusters, as (len(p), k)
-        weights, NaN where the side ends empty."""
+        """``value`` of a Min or Max cross side after each move of a point
+        ``p[r]`` to each of the ``k`` clusters, as (len(p), k) weights, NaN
+        where the side ends empty."""
         # moving p out of its cluster turns p's edges within it cross,
         # whatever the target, so the side gains their extreme rank
         pick = np.minimum if kind == "Min" else np.maximum
+        none = len(self._w) if kind == "Min" else -1
         own = labels[self._ends] == labels[self._opps]
-        added = np.full(len(labels), len(self._w) if kind == "Min" else -1)
+        added = np.full(len(labels), none)
         pick.at(added, self._ends[own], self._ranks[own])
         w = np.append(self._w, np.nan)  # both "no edge" ranks read NaN
-        ranks = self._sides[0]
+        ranks = self._sides[0] if kind == "Min" else self._sides[0][::-1]
         if not len(ranks):
             return np.repeat(w[added[p], None], k, axis=1)
         # the side keeps its extreme edge (u, v) but in the moves of u to
-        # v's cluster and of v to u's, which aggregate from their own flips
-        r = ranks[0] if kind == "Min" else ranks[-1]
+        # v's cluster and of v to u's, which keep the first of its ranks
+        # that does not turn within
+        r = ranks[0]
         out = np.repeat(w[pick(added[p], r), None], k, axis=1)
         u, v = int(self._u[r]), int(self._v[r])
         for q, j in ((u, int(labels[v])), (v, int(labels[u]))):
             rows = p == q
             if rows.any():
-                to_cross, to_within = self.flips(labels, q, int(labels[q]), j)
-                num = self.aggregate(owa.OWASpec(kind), 0, to_within, to_cross)
-                out[rows, j] = np.nan if num is None else num
+                gone = set(self.flips(labels, q, int(labels[q]), j)[1].tolist())
+                kept = next((x for x in ranks[: len(gone) + 1].tolist() if x not in gone), none)
+                out[rows, j] = w[pick(added[q], kept)]
         return out
 
 
@@ -592,7 +573,7 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             if "sdc" in st:
                 st["sdc"][r] = _dist(self._pts[mem[r]], st["t"][r] / len(mem[r])).sum()
         if "cross" in self.needs:
-            st["cross"] = self._mst.aggregate(_MIN, 0, _NO_EDGES, _NO_EDGES)
+            st["cross"] = self._mst.value(_MIN, 0)
         if "bmax" in st:
             for i in rows:
                 # distances are symmetric to the bit, so a block reads the
@@ -794,54 +775,50 @@ class GDunnEvaluator(_ClusterStatsEvaluator):
             return np.where(den <= 0.0, _INF, num / den)
 
 
+def _ratio(num, den):
+    """DuNN's num / den, broadcast; NaN marks an empty side: +inf without
+    cross edges (perfect separation), else -inf without within edges (none
+    witnesses compactness), and +inf for den <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(den <= 0.0, _INF, np.divide(num, den))
+    return np.where(np.isnan(num), _INF, np.where(np.isnan(den), -_INF, out))
+
+
 class DuNNEvaluator(CVIEvaluator):
     """OWA aggregates over an ``_EdgeSplit`` of the symmetrized NN edges:
-    a peek aggregates each side near its extreme, O(M + support)."""
+    a scan aggregates each side of every move near its extreme."""
 
     def _init_state(self) -> None:
         edges = edges_for(self.ds, self.spec.m)
         self._split = _EdgeSplit(edges.u, edges.v, edges.dist, self._labels)
 
-    def _value_for(self, to_cross: np.ndarray, to_within: np.ndarray) -> float:
-        num = self._split.aggregate(self.spec.owa_s, 0, to_within, to_cross)
-        if num is None:
-            return _INF  # no cross edges: perfect separation
-        den = self._split.aggregate(self.spec.owa_c, 1, to_cross, to_within)
-        if den is None:
-            return -_INF  # no within edges to witness compactness
-        return _INF if den <= 0.0 else num / den
-
     def _full_value(self) -> float:
-        return self._value_for(_NO_EDGES, _NO_EDGES)
-
-    def _peek(self, m: Move) -> float:
-        return self._value_for(*self._split.flips(self._labels, m.point, m.src, m.dst))
+        split = self._split
+        return float(_ratio(split.value(self.spec.owa_s, 0), split.value(self.spec.owa_c, 1)))
 
     def _apply(self, m: Move) -> None:
         self._split.commit(*self._split.flips(self._labels, m.point, m.src, m.dst))
 
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
-        # _value_for over the side scans of every valid move; a Min or Max
+        # _ratio over the side scans of every valid move; a Min or Max
         # separation over a Const compactness, whose value is the
         # separation, reads scan_cross (scan_side gives the same bits about
         # 6x slower)
         sep, comp, lab = self.spec.owa_s, self.spec.owa_c, self._labels
         if sep.kind in ("Min", "Max") and comp.is_const:
-            num = self._split.scan_cross(sep.kind, lab, points, self._k)
-            return np.where(np.isnan(num), _INF, num)
+            return _ratio(self._split.scan_cross(sep.kind, lab, points, self._k), 1.0)
         # a move of p from a to j: the cross side loses p's edges into j and
         # gains those into a, the within side the reverse
         src = lab[points]
+        wanted = np.zeros(self._k, dtype=bool)
+        wanted[list(targets)] = True
         valid = (self._sizes[src] >= 2)[:, None] & (np.arange(self._k) != src[:, None])
-        r, j = np.nonzero(valid & np.isin(np.arange(self._k), list(targets)))
+        r, j = np.nonzero(valid & wanted)
         p, a = points[r], src[r]
         num = self._split.scan_side(sep, 0, lab, p, j, a)
         den = self._split.scan_side(comp, 1, lab, p, a, j)
         out = np.full((len(points), self._k), -_INF)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[r, j] = np.where(den <= 0.0, _INF, num / den)
-        out[r[np.isnan(den)], j[np.isnan(den)]] = -_INF  # no within edges
-        out[r[np.isnan(num)], j[np.isnan(num)]] = _INF  # no cross edges
+        out[r, j] = _ratio(num, den)
         return out
 
 

@@ -567,3 +567,20 @@ def test_jobs_below_one_is_a_clean_error(tmp_path, capsys, jobs):
     assert cli.main(["run", "--config", str(good), "--jobs", str(jobs)]) == 1
     assert capsys.readouterr().err.count("error: jobs must be >= 1") == 2
     assert not os.path.exists(cfg["output_dir"])
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [([], "specs must name at least one spec"), (["BallHall", "WCNN_2", "BallHall"], "'BallHall'")],
+    ids=("empty", "twice"),
+)
+def test_empty_or_repeated_specs_are_a_clean_error(tmp_path, capsys, specs, message):
+    # an empty list wrote an empty records.csv, and a repeated spec ran its
+    # jobs twice, with two ok rows per (dataset, method, k)
+    battery = write_battery(tmp_path / "battery")
+    path, cfg = make_config(tmp_path, battery, specs=specs)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.load(str(path))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(cfg["output_dir"])

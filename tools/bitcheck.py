@@ -10,8 +10,8 @@ files are compared) and, on fixed seeded datasets, compares with ``==``:
 
 - for every spec, both evaluators built from the same partition, after
   each of a few random commits: every cell of ``scan()``; every valid
-  ``peek``; ``value()``, after commits made with and without a prior
-  ``peek`` of the move, and after a ``peek`` followed by a ``scan()``;
+  ``peek``, both before the ``scan()`` and after it; ``value()``, after
+  commits made with and without a ``scan()`` before them;
 - ``lloyd_kmeans`` labels and the state of its generator afterwards, at
   1, 2 and 10 restarts and ``max_iter`` 1, 2 and 300, with k also above
   the distinct point count, on each dataset and on its points times 0.1;
@@ -94,21 +94,27 @@ def compare(old_ev, new_ev, rng, commits: int) -> tuple[int, int]:
         cells += a.size
         bad += int((a != b).sum())
 
-    for step in range(commits + 1):
-        check(old_ev.value(), new_ev.value())
-        check(old_ev.scan(), new_ev.scan())
+    def peeks():
         moves = list(iter_moves(new_ev.labels, new_ev.sizes, new_ev.k))
         check([old_ev.peek(m) for m in moves], [new_ev.peek(m) for m in moves])
+        return moves
+
+    for step in range(commits + 1):
+        check(old_ev.value(), new_ev.value())
+        peeks()  # one-point scans
+        check(old_ev.scan(), new_ev.scan())
+        moves = peeks()  # cells of the scan's table
         if step == commits:
             break
         m = moves[int(rng.integers(len(moves)))]
-        if step % 3 == 0:  # commit right after peeking the move
-            check(old_ev.peek(m), new_ev.peek(m))
-        elif step % 3 == 1:  # a scan between the peek and the commit
-            check(old_ev.peek(m), new_ev.peek(m))
-            new_ev.scan()
         old_ev.commit(m)
         new_ev.commit(m)
+        if step % 2:  # a second commit, with no scan before it
+            check(old_ev.value(), new_ev.value())
+            moves = list(iter_moves(new_ev.labels, new_ev.sizes, new_ev.k))
+            m = moves[int(rng.integers(len(moves)))]
+            old_ev.commit(m)
+            new_ev.commit(m)
     return cells, bad
 
 
