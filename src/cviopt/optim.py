@@ -9,14 +9,16 @@ The returned solution is always a single-move local maximum of the
 objective.
 
 A step rates every neighbour at once with the evaluator's ``scan()``, an
-(n, k) array of move values, and walks its cells in a stable descending
-sort: the first non-tabu cell is the move, so ties go to the first move
-in (point, target) order, and only the cells ahead of it are looked up
-in the tabu list.
+(n, k) array of move values, and takes its maximal cells one ``argmax``
+at a time: the first non-tabu one is the move.  ``argmax`` returns the
+first maximal cell, so ties go to the first move in (point, target)
+order, and only the cells ahead of the move are looked up in the tabu
+list.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -42,6 +44,9 @@ from .partition import (
 
 DEFAULT_PATIENCE = 250  # non-improvement budget per candidate
 DEFAULT_VANTAGE_V = 5  # vantage points per cluster
+# n = 30, k = 20 expects about 760 draws and exceeds this bound with
+# probability about e^-39; a draw costs about 10 us there
+RANDOM_PARTITION_DRAWS = 30_000
 
 
 class TabuList:
@@ -72,14 +77,21 @@ class OptimTrace:
 
 
 def random_partition(n: int, k: int, rng) -> Partition:
-    """Labels i.i.d. uniform on 0..k-1, resampled until surjective."""
+    """Labels i.i.d. uniform on 0..k-1, resampled until surjective.
+
+    Gives up after ``RANDOM_PARTITION_DRAWS`` draws: as k nears n, a draw is
+    surjective with a vanishing probability (about 1e-9 at n = 30, k = 28).
+    """
     if k > n:
         raise ParameterError(f"cannot split {n} points into {k} nonempty clusters")
     rng = np.random.default_rng(rng)
-    while True:
+    for _ in range(RANDOM_PARTITION_DRAWS):
         labels = rng.integers(0, k, size=n)
         if np.bincount(labels, minlength=k).min() > 0:
             return from_labels(labels, k)
+    raise GenerationError(
+        f"no surjective random {k}-partition of {n} points after {RANDOM_PARTITION_DRAWS} draws"
+    )
 
 
 def vantage_point_partition(
@@ -204,20 +216,23 @@ def _climb(
         patience = 1
         work = np.empty_like(ev.labels)
         while True:
-            # select the best non-tabu single-move neighbour: a stable sort
-            # keeps the first in (point, target) order among equal values,
-            # and -inf and NaN sort last and are never chosen
+            # select the best non-tabu single-move neighbour: argmax takes
+            # the first in (point, target) order among equal values; NaN
+            # cells become -inf, and -inf cells are never chosen
             vals = ev.scan().ravel()
+            vals = np.where(vals > -np.inf, vals, -np.inf)
             chosen: Move | None = None
-            for cell in np.argsort(-vals, kind="stable"):
+            while True:
+                cell = int(vals.argmax())
                 if not vals[cell] > -np.inf:
                     break
-                p, j = divmod(int(cell), ev.k)
+                p, j = divmod(cell, ev.k)
                 np.copyto(work, ev.labels)
                 work[p] = j
                 if work not in tabu:
                     chosen = Move(p, int(ev.labels[p]), j)
                     break
+                vals[cell] = -np.inf
             if chosen is None:
                 break  # every neighbour tabu or rated -inf: next candidate
             chosen_value = ev.peek(chosen)
@@ -337,13 +352,16 @@ def optimise_dataset(
     rng_random = np.random.default_rng(streams[0])
     rng_vantage = np.random.default_rng(streams[1])
     rng_kmeans = np.random.default_rng(streams[2])
+    # a candidate that cannot be drawn (k near n) is left out
     for _ in range(n_random):
-        pool.append(random_partition(ds.n, k, rng_random))
+        with contextlib.suppress(GenerationError):
+            pool.append(random_partition(ds.n, k, rng_random))
     for _ in range(n_vantage):
         try:
             pool.append(vantage_point_partition(ds, k, V=vantage_v, rng=rng_vantage))
         except GenerationError:
-            pool.append(random_partition(ds.n, k, rng_vantage))
+            with contextlib.suppress(GenerationError):
+                pool.append(random_partition(ds.n, k, rng_vantage))
     if kmeans_restarts > 0:
         pool.append(lloyd_kmeans(ds, k, restarts=kmeans_restarts, rng=rng_kmeans))
 

@@ -65,11 +65,17 @@ def from_labels(raw, k: int) -> Partition:
 
 
 def relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
-    """Renumber values by order of first occurrence: [1,1,0,1] -> [0,0,1,0]."""
-    vals, first_idx, inv = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(vals.shape[0], dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(vals.shape[0])
-    return rank[inv]
+    """Renumber values by order of first occurrence: [1,1,0,1] -> [0,0,1,0].
+
+    ``labels`` must be a nonempty vector of non-negative integers; values
+    that do not occur (gaps) are allowed.
+    """
+    n = labels.shape[0]
+    first = np.full(int(labels.max()) + 1, n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(n))
+    rank = np.empty_like(first)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.shape[0])
+    return rank[labels]
 
 
 def canonical_key(labels: np.ndarray) -> bytes:

@@ -69,6 +69,20 @@ def canonicalize(p: partition.Partition) -> partition.Partition:
     return partition.from_labels(partition.relabel_first_occurrence(p.labels), p.k)
 
 
+def relabel_vectors(rng):
+    """Label vectors with gaps, n = 1, one value, n distinct values and
+    values up to 10n."""
+    yield np.array([0])
+    yield np.array([7])
+    yield np.full(6, 3)
+    for n in (2, 5, 17, 100):
+        yield rng.permutation(n)
+        yield rng.permutation(10 * n + 1)[:n]  # n distinct values up to 10n
+        for high in (2, 3, n, 10 * n + 1):
+            yield rng.integers(0, high, size=n)
+        yield rng.choice([0, 4, 9], size=n)  # gaps below, between and above
+
+
 def iter_moves(labels: np.ndarray, sizes: np.ndarray, k: int):
     """Yield valid relocations in ascending (point, target cluster) order."""
     n = labels.shape[0]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,6 +13,7 @@ from conftest import (
     k_partitions,
     kmeans_by_restart,
     make_dataset,
+    random_surjective_labels,
     wcss,
 )
 from cviopt import cvi, dataio, optim
@@ -54,6 +57,25 @@ def test_random_partition_uniform_over_label_vectors():
     chi2 = ((observed - draws / 62) ** 2 / (draws / 62)).sum()
     # 61 dof; reject only at the 1e-4 level to keep the test stable
     assert chi2 < stats.chi2.ppf(1 - 1e-4, df=61)
+
+
+def test_random_partition_keeps_the_unbounded_stream():
+    # every draw that ends within the bound is the plain rejection loop's,
+    # and leaves the generator where that loop does
+    for n, k in [(6, 2), (5, 5), (30, 20), (200, 7)]:
+        ours, loop = np.random.default_rng(n * k), np.random.default_rng(n * k)
+        for _ in range(3):
+            expected = random_surjective_labels(loop, n, k)
+            assert random_partition(n, k, ours).labels.tolist() == expected.tolist()
+        assert ours.bit_generator.state == loop.bit_generator.state
+
+
+def test_random_partition_gives_up_when_k_nears_n():
+    # about one draw in 1e9 is surjective at n = 30, k = 28
+    t0 = time.perf_counter()
+    with pytest.raises(GenerationError):
+        random_partition(30, 28, 0)
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_vantage_point_recovers_centers(x4):
@@ -259,6 +281,16 @@ def test_optimise_dataset_dedups_candidates(x4, tmp_path):
     assert evaluate(spec, x4, best) == pytest.approx(200.0)
 
 
+def test_optimise_dataset_leaves_out_candidates_it_cannot_draw():
+    # k near n: no random or vantage-point candidate can be drawn, so
+    # the climb starts from k-means alone
+    ds = make_dataset(np.random.default_rng(9), 30, 2)
+    spec = parse_spec("CalinskiHarabasz")
+    best, trace = optimise_dataset(spec, ds, 28, seed=0, P=5)
+    assert trace.candidate_count == 1
+    assert best.k == 28
+
+
 def test_optimise_dataset_uses_references(x4):
     refs = dataio.ReferenceSet([np.array([1, 1, 2, 2])])
     spec = parse_spec("GDunn_d1_D1")
@@ -403,3 +435,127 @@ def test_climb_matches_oracle_from_minus_inf_candidates():
     candidates = [from_labels([0] * 3 + [1] * 9, 2), from_labels([0] * 4 + [1] * 8, 2)]
     trace = assert_climb_matches_oracle(parse_spec("WCNN_3"), ds, candidates, P=20)
     assert trace.best_history[0] > float("-inf")
+
+
+class _Picked(Exception):
+    """Raised by ``TableEvaluator.commit`` with the move the climb chose."""
+
+
+class TableEvaluator:
+    """An evaluator whose ``scan()`` is a fixed table; its first commit
+    ends the climb."""
+
+    def __init__(self, part, table):
+        self.labels, self.sizes, self.k = part.labels, part.sizes, part.k
+        self.table = table
+
+    def scan(self):
+        return self.table
+
+    def peek(self, m):
+        return self.table[m.point, m.dst]
+
+    def commit(self, m):
+        raise _Picked(m.point, m.dst)
+
+
+def climb_pick(monkeypatch, labels, table, visited):
+    """(point, target) of the first move ``optim._climb`` makes from
+    ``labels`` over the scan table ``table``, with the label vectors
+    ``visited`` already tabu; None when it makes none."""
+    tabu = TabuList()
+    for lab in visited:
+        tabu.add(lab)
+    monkeypatch.setattr(optim, "TabuList", lambda: tabu)
+    monkeypatch.setattr(optim, "make_evaluator", lambda spec, ds, cand: TableEvaluator(cand, table))
+    part = from_labels(labels, table.shape[1])
+    try:
+        optim._climb(None, None, [part], [0.0], 1, optim.OptimTrace())
+    except _Picked as picked:
+        return picked.args
+    return None
+
+
+def sorted_pick(labels, table, visited):
+    """The selection rule before ``argmax``: the first non-tabu cell, with
+    a value > -inf, of a stable descending sort of the table."""
+    keys = {canonical_key(lab) for lab in visited}
+    vals = table.ravel()
+    for cell in np.argsort(-vals, kind="stable"):
+        if not vals[cell] > -np.inf:
+            return None
+        p, j = divmod(int(cell), table.shape[1])
+        work = np.array(labels)
+        work[p] = j
+        if canonical_key(work) not in keys:
+            return p, j
+    return None
+
+
+def scan_table(labels, k, fill):
+    """A scan-shaped table: ``fill`` in every valid move's cell, -inf in
+    own-cluster cells and in the rows of singleton clusters."""
+    labels = np.asarray(labels)
+    table = np.full((len(labels), k), fill, dtype=float)
+    table[np.arange(len(labels)), labels] = -np.inf
+    table[np.bincount(labels, minlength=k)[labels] < 2] = -np.inf
+    return table
+
+
+def moved(labels, p, j):
+    out = np.array(labels)
+    out[p] = j
+    return out
+
+
+LABELS = [0, 0, 1, 1, 2, 2]
+VALID = [(p, j) for p in range(6) for j in range(3) if j != LABELS[p]]
+
+
+def hand_tables():
+    """Cases of (table, visited, expected pick) over LABELS."""
+    ties = scan_table(LABELS, 3, 1.0)
+    yield pytest.param(ties, [], (0, 1), id="ties")
+    yield pytest.param(ties, [moved(LABELS, 0, 1)], (0, 2), id="ties, first tabu")
+    zeros = scan_table(LABELS, 3, -1.0)
+    zeros[2, 0], zeros[1, 2], zeros[4, 1] = 0.0, -0.0, 0.0
+    yield pytest.param(zeros, [], (1, 2), id="+0.0 beside -0.0")
+    yield pytest.param(zeros, [moved(LABELS, 1, 2)], (2, 0), id="+0.0 beside -0.0, -0.0 tabu")
+    nan = scan_table(LABELS, 3, np.nan)
+    nan[3, 0], nan[5, 1] = -5.0, -5.0
+    yield pytest.param(nan, [], (3, 0), id="NaN ahead of every value")
+    yield pytest.param(scan_table(LABELS, 3, np.nan), [], None, id="NaN and -inf only")
+    yield pytest.param(scan_table(LABELS, 3, -np.inf), [], None, id="-inf only")
+    inf = scan_table(LABELS, 3, 2.0)
+    inf[1, 1], inf[4, 0], inf[0, 2] = np.inf, np.inf, np.nan
+    yield pytest.param(inf, [], (1, 1), id="+inf")
+    yield pytest.param(inf, [moved(LABELS, 1, 1)], (4, 0), id="+inf, first tabu")
+    every = [moved(LABELS, p, j) for p, j in VALID]
+    yield pytest.param(ties, every, None, id="every cell tabu")
+    finite = [moved(LABELS, p, j) for p, j in VALID if (p, j) not in {(1, 1), (4, 0)}]
+    yield pytest.param(inf, finite, (1, 1), id="every finite cell tabu")
+    yield pytest.param(inf, every, None, id="every finite cell and +inf tabu")
+
+
+@pytest.mark.parametrize("table, visited, expected", hand_tables())
+def test_climb_picks_the_first_best_non_tabu_cell(monkeypatch, table, visited, expected):
+    assert sorted_pick(LABELS, table, visited) == expected
+    assert climb_pick(monkeypatch, LABELS, table, visited) == expected
+
+
+def test_climb_pick_matches_a_stable_sort_on_random_tables(monkeypatch):
+    # few distinct values, so most tables tie; a random share of moves tabu
+    rng = np.random.default_rng(14)
+    values = np.array([-1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, np.nan, -np.inf, np.inf])
+    picks = set()
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        n = int(rng.integers(k, 9))
+        labels = random_surjective_labels(rng, n, k)
+        valid = np.isfinite(scan_table(labels, k, 0.0))
+        table = np.where(valid, rng.choice(values, size=(n, k)), -np.inf)
+        visited = [moved(labels, p, j) for p in range(n) for j in range(k) if rng.random() < 0.4]
+        expected = sorted_pick(labels, table, visited)
+        assert climb_pick(monkeypatch, labels, table, visited) == expected
+        picks.add(expected is None)
+    assert picks == {True, False}

@@ -11,6 +11,7 @@ from conftest import (
     canonicalize,
     enumerate_moves,
     random_surjective_labels,
+    relabel_vectors,
 )
 from cviopt import partition
 from cviopt.errors import InvalidMoveError, LabelRangeError, NotSurjectiveError
@@ -49,6 +50,22 @@ def test_canonicalize_permutation_invariant(k):
     base = canonicalize(from_labels(labels, k)).labels
     for relabeled in all_cluster_permutation_relabels(labels, k):
         assert canonicalize(from_labels(relabeled, k)).labels.tolist() == base.tolist()
+
+
+def relabel_by_unique(labels):
+    """The definition ``relabel_first_occurrence`` had with ``np.unique``:
+    the reference for its first-index pass."""
+    vals, first_idx, inv = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(vals.shape[0], dtype=np.int64)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(vals.shape[0])
+    return rank[inv]
+
+
+def test_relabel_first_occurrence_matches_unique():
+    for labels in relabel_vectors(np.random.default_rng(23)):
+        got = partition.relabel_first_occurrence(labels)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, relabel_by_unique(labels)), labels
 
 
 def test_enumerate_moves_counts():

@@ -1,12 +1,15 @@
-"""Compare the incremental evaluators, k-means and EMST of a git revision
-with the working tree's, bit for bit.
+"""Compare the incremental evaluators, k-means, EMST, tabu climb and
+canonical relabelling of a git revision with the working tree's, bit for
+bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
-Loads ``git show REV:src/cviopt/cvi/evaluators.py``, ``REV:src/cviopt/optim.py``
-and ``REV:src/cviopt/geometry.py`` as modules beside the current package
-(their relative imports resolve to the current package, so only those
-files are compared) and, on fixed seeded datasets, compares with ``==``:
+Loads ``git show REV:src/cviopt/cvi/evaluators.py``, ``REV:src/cviopt/optim.py``,
+``REV:src/cviopt/geometry.py`` and ``REV:src/cviopt/partition.py`` as
+modules beside the current package (their relative imports resolve to the
+current package, so only those files are compared: REV's climb keys its
+tabu list with the current ``partition``) and, on fixed seeded datasets,
+compares with ``==``:
 
 - for every spec, both evaluators built from the same partition, after
   each of a few random commits: every cell of ``scan()``; every valid
@@ -15,7 +18,10 @@ files are compared) and, on fixed seeded datasets, compares with ``==``:
 - ``lloyd_kmeans`` labels and the state of its generator afterwards, at
   1, 2 and 10 restarts and ``max_iter`` 1, 2 and 300, with k also above
   the distinct point count, on each dataset and on its points times 0.1;
-- ``emst``: every edge end and weight, in order.
+- ``emst``: every edge end and weight, in order;
+- ``tabu_hill_climb`` for a few specs and patiences, from the random
+  candidates of each dataset: the labels and the whole ``OptimTrace``;
+- ``relabel_first_occurrence`` on the test suite's label vectors.
 
 The datasets come from the test suite's generators in
 ``tests/conftest.py``: Gaussian, a coarse integer grid (many tied
@@ -37,13 +43,19 @@ from pathlib import Path
 
 import numpy as np
 
-from cviopt import geometry, optim
+from cviopt import geometry, optim, partition
 from cviopt.cvi import evaluators, parse_spec
 from cviopt.dataio import Dataset
 from cviopt.partition import from_labels
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import coarse_grid, duplicate_points, iter_moves, make_dataset  # noqa: E402
+from conftest import (  # noqa: E402
+    coarse_grid,
+    duplicate_points,
+    iter_moves,
+    make_dataset,
+    relabel_vectors,
+)
 
 SPECS = [
     "BallHall",
@@ -167,6 +179,41 @@ def compare_emst(old_geometry, rng) -> tuple[int, int]:
     return edges, bad
 
 
+#: specs and patiences of the climb comparison
+CLIMB_SPECS = ["CalinskiHarabasz", "BallHall", "WCNN_5", "DuNN_5_Min_Const", "GDunn_d1_D1"]
+CLIMB_PATIENCES = (1, 5, 30)
+
+
+def compare_climb(old_optim, rng) -> tuple[int, int]:
+    """(climbs compared, mismatches) of ``tabu_hill_climb``: labels and the
+    whole ``OptimTrace``."""
+    climbs = bad = 0
+    for ds, k in datasets(rng):
+        candidates = [optim.random_partition(ds.n, k, rng) for _ in range(3)]
+        for text in CLIMB_SPECS:
+            spec = parse_spec(text)
+            for P in CLIMB_PATIENCES:
+                # both fill the current OptimTrace class, so == compares fields
+                old_trace, new_trace = optim.OptimTrace(), optim.OptimTrace()
+                a = old_optim.tabu_hill_climb(spec, ds, candidates, P, old_trace)
+                b = optim.tabu_hill_climb(spec, ds, candidates, P, new_trace)
+                climbs += 1
+                bad += not (np.array_equal(a.labels, b.labels) and old_trace == new_trace)
+    return climbs, bad
+
+
+def compare_relabel(old_partition, rng) -> tuple[int, int]:
+    """(vectors compared, mismatches) of ``relabel_first_occurrence``."""
+    vectors = bad = 0
+    for _ in range(20):
+        for labels in relabel_vectors(rng):
+            old = old_partition.relabel_first_occurrence(labels)
+            new = partition.relabel_first_occurrence(labels)
+            vectors += 1
+            bad += not (old.dtype == new.dtype and np.array_equal(old, new))
+    return vectors, bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
@@ -174,6 +221,7 @@ def main(argv=None) -> int:
     old = load_revision(args.rev, "evaluators.py", "cviopt.cvi")
     old_optim = load_revision(args.rev, "optim.py", "cviopt")
     old_geometry = load_revision(args.rev, "geometry.py", "cviopt")
+    old_partition = load_revision(args.rev, "partition.py", "cviopt")
     total = total_bad = 0
     for text in SPECS:
         spec = parse_spec(text)
@@ -202,7 +250,11 @@ def main(argv=None) -> int:
     print(f"lloyd_kmeans {calls} calls, {kmeans_bad} mismatches")
     edges, emst_bad = compare_emst(old_geometry, np.random.default_rng(2))
     print(f"emst {edges} edges, {emst_bad} mismatches")
-    return 1 if total_bad or kmeans_bad or emst_bad else 0
+    climbs, climb_bad = compare_climb(old_optim, np.random.default_rng(3))
+    print(f"tabu_hill_climb {climbs} climbs, {climb_bad} mismatches")
+    vectors, relabel_bad = compare_relabel(old_partition, np.random.default_rng(4))
+    print(f"relabel_first_occurrence {vectors} vectors, {relabel_bad} mismatches")
+    return 1 if total_bad or kmeans_bad or emst_bad or climb_bad or relabel_bad else 0
 
 
 if __name__ == "__main__":
