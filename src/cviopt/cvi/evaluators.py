@@ -12,9 +12,12 @@ moves of some points to some targets, at once).  ``scan`` keeps its table
 until the next commit, and ``peek`` and ``commit`` read their move's cell
 from it, or, with no table, one cell of a one-point scan.  Silhouette,
 SilhouetteW, DaviesBouldin and GDunn scan in row blocks of at most
-``geometry._BLOCK_CELLS`` cells; DaviesBouldin and the 15 GDunn variants
-share one scan, which builds the post-move per-cluster statistics of a
-block of moves and applies the index's formula to all of them at once.
+``geometry._BLOCK_CELLS`` cells.  The silhouettes build per-column vectors
+once per (source, target) pair, so a cell takes a few in-place passes.
+DaviesBouldin and the 15 GDunn variants share one scan, which builds the
+post-move per-cluster statistics of a block of moves and applies the
+index's formula to all of them at once; distances to centroids come from
+``cdist``, which adds the squares in the order ``_dist`` does.
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
@@ -24,6 +27,7 @@ Dataset, distance matrix and NN graph are immutable and shared.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .. import owa
 from ..dataio import Dataset
@@ -255,66 +259,91 @@ class SilhouetteEvaluator(CVIEvaluator):
     def _scan(self, points: np.ndarray, targets) -> np.ndarray:
         # _full_value's terms for a row block of moving points p, all from
         # one source cluster a, one target j at a time.  A move p: a -> j
-        # changes only columns a and j of dsum, by -row_p and +row_p; every
-        # other point q stays in its cluster and p joins j.  The nearest
-        # mean of q is then the least of the two changed means and rest_q,
-        # its least mean over the clusters other than a, j and its own.
-        n, k, lab, sizes, dsum = self._n, self._k, self._labels, self._sizes, self._dsum
+        # changes only columns a and j of dsum, by -d and +d (d: p's
+        # distance row), and every other point q stays in its cluster.  So
+        # q's intra mean becomes (own + sign * d) / size, and its nearest
+        # mean the least of a's changed mean (unless q is in a), j's (unless
+        # q is in j) and rest, from the per-column vectors of _columns.
+        # Each cell takes a few in-place passes over the block; post-move
+        # singleton columns score 0, and p's own column (p sits in j) is
+        # scored apart.
+        n, lab, sizes, dsum = self._n, self._labels, self._sizes, self._dsum
         src = lab[points]
-        out = np.full((len(points), k), -_INF)
-        for a in np.unique(src[sizes[src] >= 2]):
-            in_a = lab == a
-            rest = {}
-            for j in targets:
-                if j != a:
-                    others = self._mean_to.copy()
-                    others[:, [a, j]] = np.inf
-                    rest[j] = others.min(axis=1)
-            cols = {j: dsum[:, j].copy() for j in [a, *rest]}
-            for rows in row_blocks(np.flatnonzero(src == a), n):
+        out = np.full((len(points), self._k), -_INF)
+        for a in np.unique(src[sizes[src] >= 2]).tolist():
+            to_a = np.where(lab == a, np.inf, dsum[:, a])
+            cols = {j: self._columns(a, j) for j in targets if j != a}
+            blocks = row_blocks(np.flatnonzero(src == a), n)
+            buf = np.empty((4, len(blocks[0]), n))
+            for rows in blocks:
                 block = points[rows]
                 rr = np.arange(len(block))
                 dist = self._dp.rows(block)
-                sum_a = cols[a] - dist
+                away, intra, near, den = buf[:, : len(block)]
+                to_p = dist[rr, block]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    mean_a = sum_a / (sizes[a] - 1)
-                    intra_a = np.where(in_a, sum_a / (sizes[a] - 2), self._intra)
-                near_a = np.where(in_a, np.inf, mean_a)
-                near_a[rr, block] = mean_a[rr, block]
-                for j in rest:
-                    cells = self._scan_cells(a, j, block, cols[j] + dist, near_a, intra_a, rest[j])
-                    out[rows, j] = cells
+                    # a's changed mean, inf in a's columns
+                    np.subtract(to_a, dist, out=away)
+                    away /= sizes[a] - 1
+                    away_p = (dsum[block, a] - to_p) / (sizes[a] - 1)
+                    for j, (sign, own, size, to_j, rest, single, n_own, effective) in cols.items():
+                        if self.weighted and effective < 1:
+                            continue
+                        np.multiply(dist, sign, out=intra)
+                        intra += own
+                        intra /= size
+                        np.add(to_j, dist, out=near)
+                        near /= sizes[j] + 1
+                        np.minimum(away, near, out=near)
+                        if rest is not None:
+                            np.minimum(near, rest, out=near)
+                        np.maximum(intra, near, out=den)
+                        near -= intra
+                        # 0 where den <= 0 (duplicate points) or NaN: rare,
+                        # so patched after a plain divide, which is several
+                        # times faster than one with where=
+                        s = np.divide(near, den, out=intra)
+                        positive = den > 0.0
+                        if not positive.all():
+                            s[~positive] = 0.0
+                        if len(single):
+                            s[:, single] = 0.0
+                        intra_p = (dsum[block, j] + to_p) / sizes[j]
+                        near_p = away_p if rest is None else np.minimum(away_p, rest[block])
+                        den_p = np.maximum(intra_p, near_p)
+                        s[rr, block] = s_p = np.where(den_p > 0.0, (near_p - intra_p) / den_p, 0.0)
+                        if not self.weighted:
+                            out[rows, j] = s.mean(axis=1)
+                            continue
+                        s /= n_own
+                        s[rr, block] = s_p / (sizes[j] + 1)
+                        out[rows, j] = s.sum(axis=1) / effective
         return out
 
-    def _scan_cells(self, a, j, block, sum_j, near_a, intra_a, rest) -> np.ndarray:
-        """Values of moving each point of ``block``, all in ``a``, to ``j``,
-        given the (rows, n) post-move sums of distances to j, ``sum_j``."""
-        lab, sizes = self._labels, self._sizes
-        rr = np.arange(len(block))
-        in_j = lab == j
-        near = np.where(in_j, np.inf, sum_j / (sizes[j] + 1))
-        near[rr, block] = np.inf
-        near = np.minimum(np.minimum(near_a, near), rest)
-        intra = np.where(in_j, sum_j / sizes[j], intra_a)
-        intra[rr, block] = sum_j[rr, block] / sizes[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = np.maximum(intra, near)
-            s = np.where(den > 0.0, (near - intra) / den, 0.0)
+    def _columns(self, a: int, j: int) -> tuple:
+        """Per-column vectors of the moves a -> j: each point's intra sum
+        ``own``, its ``sign`` in the move and the ``size`` it is divided by;
+        its sum to j, inf for j's members; ``rest``, its least mean over the
+        clusters other than a, j and its own (None for k = 2); the post-move
+        singleton columns and cluster sizes; and the count of clusters that
+        are not singletons after the move."""
+        lab, sizes, dsum = self._labels, self._sizes, self._dsum
+        in_a, in_j = lab == a, lab == j
+        others = [c for c in range(self._k) if c not in (a, j)]
         sizes2 = sizes.copy()
         sizes2[a] -= 1
         sizes2[j] += 1
         n_own = sizes2[lab]
-        s_p = s[rr, block]  # p's own term: p sits in j, never a singleton
-        s[:, n_own == 1] = 0.0
-        s[rr, block] = s_p
-        if not self.weighted:
-            return s.mean(axis=1)
-        effective = self._k - int((sizes2 == 1).sum())
-        if effective < 1:
-            return -_INF
-        s /= n_own
-        s[rr, block] = s_p / sizes2[j]
-        return s.sum(axis=1) / effective
+        return (
+            in_j - in_a.astype(np.float64),
+            np.where(in_a, dsum[:, a], np.where(in_j, dsum[:, j], self._intra)),
+            np.where(in_a, sizes[a] - 2, np.where(in_j, sizes[j], 1)).astype(np.float64),
+            np.where(in_j, np.inf, dsum[:, j]),
+            self._mean_to.T[others].min(axis=0) if others else None,
+            np.flatnonzero(n_own == 1),
+            n_own.astype(np.float64),
+            self._k - int((sizes2 == 1).sum()),
+        )
 
 
 class SilhouetteWEvaluator(SilhouetteEvaluator):
@@ -323,9 +352,10 @@ class SilhouetteWEvaluator(SilhouetteEvaluator):
 
 def _dist(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Euclidean distances between the points ``u`` and ``v``, broadcast
-    over their leading axes.  The squares are added coordinate by
-    coordinate, whatever the shapes, so a batched table reproduces the
-    distances of one point at any d (``np.linalg.norm`` switches to pairwise
+    over their leading axes, for the shapes ``cdist`` does not take (pairs
+    row by row, centroid gaps).  The squares are added coordinate by
+    coordinate, whatever the shapes, as ``cdist`` adds them, so both give
+    the same bits at any d (``np.linalg.norm`` switches to pairwise
     summation from d = 8), and no (..., d) difference array is made."""
     acc = 0.0
     for c in range(u.shape[-1]):
@@ -571,7 +601,7 @@ class _ClusterStatsEvaluator(CVIEvaluator):
             if "t" in st:
                 st["t"][r] = self._pts[mem[r]].sum(axis=0)
             if "sdc" in st:
-                st["sdc"][r] = _dist(self._pts[mem[r]], st["t"][r] / len(mem[r])).sum()
+                st["sdc"][r] = cdist(st["t"][r][None] / len(mem[r]), self._pts[mem[r]])[0].sum()
         if "cross" in self.needs:
             st["cross"] = self._mst.value(_MIN, 0)
         if "bmax" in st:
@@ -623,7 +653,7 @@ class _ClusterStatsEvaluator(CVIEvaluator):
                     # distances of i's members to the centroids of i less
                     # each p, without p's own column
                     pos = np.searchsorted(mem[i], p[r])
-                    dist = _dist(x_i, ((st["t"][i] - x_i[pos]) / (m - 1))[:, None])
+                    dist = cdist((st["t"][i] - x_i[pos]) / (m - 1), x_i)
                     keep = np.ones(dist.shape, dtype=bool)
                     keep[np.arange(len(pos)), pos] = False
                     sdc[r] = dist[keep].reshape(len(pos), m - 1).sum(axis=1)
@@ -667,9 +697,13 @@ class _ClusterStatsEvaluator(CVIEvaluator):
                     t[rr, a[r]] -= x
                     t[:, j] += x
                 if "sdc" in st:
-                    x_j, m = self._pts[mem[j]], len(mem[j])
-                    cents = ((st["t"][j] + x) / (m + 1))[:, None]
-                    dist = np.concatenate([_dist(x_j, cents), _dist(x[:, None], cents)], axis=1)
+                    # the members' distances to j's post-move centroids,
+                    # then p's own
+                    m = len(mem[j])
+                    cents = (st["t"][j] + x) / (m + 1)
+                    dist = np.empty((len(r), m + 1))
+                    dist[:, :m] = cdist(cents, self._pts[mem[j]])
+                    dist[:, m] = _dist(x, cents)
                     sdc = moved["sdc"] = _stack(st["sdc"], len(r))
                     sdc[rr, a[r]] = left["sdc"][r]
                     sdc[:, j] = dist.sum(axis=1)

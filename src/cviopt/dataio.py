@@ -179,8 +179,7 @@ def save_labels(labels: Sequence[int] | np.ndarray, path: str | os.PathLike) -> 
         raise LabelRangeError("internal labels must be >= 0")
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wt", encoding="utf-8") as fh:
-        for v in lab:
-            fh.write(f"{int(v) + 1}\n")
+        fh.write("".join(f"{v}\n" for v in (lab + 1).tolist()))
 
 
 def preprocess(ds: Dataset, seed: int) -> Dataset:

@@ -228,6 +228,22 @@ def test_incidence_groups_as_the_int64_sort(n, edges):
     assert (got[3] == np.searchsorted(ends[by_point], np.arange(n + 1))).all()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 12, 25])
+def test_cdist_to_centroids_equals_dist_bit_for_bit(d):
+    # DaviesBouldin and the t/sdc GDunn variants take their members'
+    # distances to centroids from cdist, and a moving point's own from
+    # _dist: both must add the squares in coordinate order, on data over
+    # many orders of magnitude, in the (rows, members) tables of the scans
+    rng = np.random.default_rng(d)
+    for scale in (1e-6, 1.0, 1e6):
+        x = rng.normal(size=(60, d)) * scale * 10.0 ** rng.integers(-3, 4, size=(60, 1))
+        for rows in (1, 7, 40):
+            cents = x[rng.integers(60, size=rows)] + rng.normal(size=(rows, d)) * scale
+            got = cdist(cents, x)
+            assert got.tobytes() == evaluators._dist(x, cents[:, None]).tobytes()
+            assert got[:, 5].tobytes() == evaluators._dist(x[5], cents).tobytes()
+
+
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_commit_reuses_only_the_last_peek_of_its_move(text):
     # the value a peek reads is the last scan's cell, until the next commit:

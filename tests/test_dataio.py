@@ -125,6 +125,20 @@ def test_save_labels_empty(tmp_path):
     assert path.read_text() == ""
 
 
+@pytest.mark.parametrize("name", ["out.labels", "out.labels.gz"])
+def test_save_labels_writes_what_a_write_per_label_wrote(tmp_path, name):
+    labels = np.random.default_rng(0).integers(0, 12, size=5000)
+    old = tmp_path / ("old-" + name)
+    with (gzip.open if name.endswith(".gz") else open)(old, "wt", encoding="utf-8") as fh:
+        for v in labels:
+            fh.write(f"{int(v) + 1}\n")
+    new = tmp_path / name
+    dataio.save_labels(labels, new)
+    read = gzip.decompress if name.endswith(".gz") else bytes
+    assert read(new.read_bytes()) == read(old.read_bytes())
+    assert np.array_equal(dataio.load_labels(new, len(labels)) - 1, labels)
+
+
 def test_save_labels_rejects_negative(tmp_path):
     with pytest.raises(LabelRangeError):
         dataio.save_labels([-1, 0], tmp_path / "x.labels")

@@ -3,7 +3,8 @@
 Most evaluators read ``peek`` as a cell of their ``scan``, so comparing
 the two checks a formula against itself; this table pins the bits of
 every move formula instead, at d = 2 and at d >= 8 (where sums over the
-coordinates may be added in another order).  ``tests/data/scan_golden.json``
+coordinates may be added in another order), also from starts that hold a
+singleton and a two-member cluster.  ``tests/data/scan_golden.json``
 holds ``float.hex`` of each cell; regenerate it, only for a deliberate
 change of the numbers, with ``PYTHONPATH=src python tests/test_scan_golden.py``.
 """
@@ -39,15 +40,23 @@ SPECS = [
 ]
 # (seed, n, d, k): the datasets, each with a random start
 CASES = [(1, 12, 2, 3), (2, 11, 9, 2), (3, 12, 12, 4)]
+# the specs whose scans treat singleton and two-member clusters apart, on
+# (seed, n, d) datasets with a shuffled k = 5 start of cluster sizes
+# SMALL_SIZES: a move out of the pair leaves a singleton, a move into the
+# singleton makes a pair
+SMALL_SPECS = ["Silhouette", "SilhouetteW", "DaviesBouldin", "GDunn_d4_D3", "GDunn_d5_D3"]
+SMALL_CASES = [(4, 12, 2), (5, 12, 9)]
+SMALL_SIZES = (1, 2, 3, 3, 3)
 COMMITS = 2
 
 
-def scans(text: str, seed: int, n: int, d: int, k: int) -> list[str]:
+def scans(text: str, seed: int, n: int, d: int, k: int, sizes=None) -> list[str]:
     """The ``scan()`` of the start and after ``COMMITS`` commits of moves
-    drawn from the labels alone, each as space-separated hex cells."""
+    drawn from the labels alone, each as space-separated hex cells.  The
+    start has the cluster ``sizes``, or equal ones."""
     rng = np.random.default_rng(seed)
     ds = dataio.Dataset(rng.normal(size=(n, d)))
-    labels = np.arange(n) % k
+    labels = np.arange(n) % k if sizes is None else np.repeat(np.arange(k), sizes)
     rng.shuffle(labels)
     ev = make_evaluator(parse_spec(text), ds, from_labels(labels, k))
     out = [ev.scan()]
@@ -65,6 +74,14 @@ def key(text: str, case) -> str:
     return f"{text} seed={case[0]} n={case[1]} d={case[2]} k={case[3]}"
 
 
+def small_key(text: str, case) -> str:
+    return f"{text} seed={case[0]} n={case[1]} d={case[2]} sizes={','.join(map(str, SMALL_SIZES))}"
+
+
+def small_scans(text: str, case) -> list[str]:
+    return scans(text, *case, len(SMALL_SIZES), SMALL_SIZES)
+
+
 @pytest.mark.parametrize("text", SPECS)
 def test_scan_values_match_the_golden_table(text):
     table = json.loads(TABLE.read_text())
@@ -72,7 +89,15 @@ def test_scan_values_match_the_golden_table(text):
         assert scans(text, *case) == table[key(text, case)], key(text, case)
 
 
+@pytest.mark.parametrize("text", SMALL_SPECS)
+def test_scan_values_with_small_clusters_match_the_golden_table(text):
+    table = json.loads(TABLE.read_text())
+    for case in SMALL_CASES:
+        assert small_scans(text, case) == table[small_key(text, case)], small_key(text, case)
+
+
 if __name__ == "__main__":
     TABLE.parent.mkdir(exist_ok=True)
     table = {key(t, c): scans(t, *c) for t in SPECS for c in CASES}
+    table |= {small_key(t, c): small_scans(t, c) for t in SMALL_SPECS for c in SMALL_CASES}
     TABLE.write_text(json.dumps(table, indent=0) + "\n")

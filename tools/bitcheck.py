@@ -180,7 +180,16 @@ def compare_emst(old_geometry, rng) -> tuple[int, int]:
 
 
 #: specs and patiences of the climb comparison
-CLIMB_SPECS = ["CalinskiHarabasz", "BallHall", "WCNN_5", "DuNN_5_Min_Const", "GDunn_d1_D1"]
+CLIMB_SPECS = [
+    "CalinskiHarabasz",
+    "BallHall",
+    "WCNN_5",
+    "DuNN_5_Min_Const",
+    "GDunn_d1_D1",
+    "Silhouette",
+    "SilhouetteW",
+    "DaviesBouldin",
+]
 CLIMB_PATIENCES = (1, 5, 30)
 
 
