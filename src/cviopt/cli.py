@@ -137,7 +137,9 @@ def _is_a(value, hint) -> bool:
 
 
 def derived_seed(base: int, *parts: str) -> int:
-    """Stable per-(dataset, spec, k) seed derivation."""
+    """A stable seed from ``base`` and the path ``parts``: ``run`` seeds a
+    dataset's preprocessing from (dataset, "preprocess") and its candidate
+    pool at each k from (dataset, "pool", k), which no spec enters."""
     digest = hashlib.sha256("/".join(parts).encode("utf-8")).digest()
     return (base + int.from_bytes(digest[:8], "big")) % (2**63)
 
@@ -200,8 +202,8 @@ def _set_up(
     """The preprocessed dataset and its references.  ``setups`` keeps the
     dataset set up last, so the jobs of one dataset, which run one after
     another, share one ``Dataset`` and with it its cached distances, kNN
-    graphs and EMST; a dataset that fails to load is tried again by each
-    of its jobs."""
+    graphs, EMST and candidate pools; a dataset that fails to load is
+    tried again by each of its jobs."""
     if dataset_id in setups:
         return setups[dataset_id]
     data_path, _ = battery_paths(cfg.battery_root, dataset_id)
@@ -215,7 +217,9 @@ def _set_up(
 
 def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set, setups: dict) -> list[dict]:
     """All records for one (dataset, spec) pair; failures become rows.
-    Jobs given the same ``setups`` dict share their dataset's set-up."""
+    Jobs given the same ``setups`` dict share their dataset's set-up.
+    The pool at each k is seeded by (dataset, k) alone, so every spec of
+    a dataset climbs from the same candidates."""
     rows: list[dict] = []
     spec = parse_spec(spec_str)
 
@@ -279,7 +283,7 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set, setups: d
                 k,
                 refs=refs,
                 external_candidate_dirs=candidate_dirs,
-                seed=derived_seed(cfg.seed, dataset_id, spec_str, str(k)),
+                seed=derived_seed(cfg.seed, dataset_id, "pool", str(k)),
                 P=cfg.patience,
                 n_random=cfg.n_random,
                 n_vantage=cfg.n_vantage,

@@ -257,6 +257,19 @@ def climb_by_peek(spec, ds, candidates, P):
     return partition.from_labels(best_labels, candidates[0].k), trace
 
 
+def counted_kmeans(monkeypatch) -> list:
+    """The k of each ``optim.lloyd_kmeans`` call, from now on."""
+    calls = []
+    kmeans = optim.lloyd_kmeans
+
+    def counting(ds, k, **kwargs):
+        calls.append(k)
+        return kmeans(ds, k, **kwargs)
+
+    monkeypatch.setattr(optim, "lloyd_kmeans", counting)
+    return calls
+
+
 def kmeans_by_restart(ds, k, restarts, rng, max_iter=300):
     """``optim.lloyd_kmeans`` one restart after another, as it was before
     the restarts ran in lockstep: the reference for the lockstep loop.

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from cviopt import cli
+from conftest import counted_kmeans
+from cviopt import cli, dataio
 from cviopt.cli import RunConfig, discover_datasets, meta_cluster, run_benchmark, summarize
 from cviopt.errors import ConfigError, ParameterError
 
@@ -53,6 +54,17 @@ def make_config(tmp_path, battery, out_name="out", **overrides):
 def read_records(out_dir):
     with open(os.path.join(out_dir, "records.csv"), newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_outputs(out_dir) -> tuple[list[dict], dict]:
+    """A run's records without ``seconds``, and the bytes of its label files."""
+    rows = [{k: v for k, v in r.items() if k != "seconds"} for r in read_records(out_dir)]
+    labels = {}
+    for r in rows:
+        if r["labels_path"]:
+            with open(os.path.join(out_dir, r["labels_path"]), "rb") as fh:
+                labels[r["labels_path"]] = fh.read()
+    return rows, labels
 
 
 def test_discover_datasets(tmp_path):
@@ -312,10 +324,68 @@ def test_run_parallel_jobs_match_serial(tmp_path):
     p2, c2 = make_config(tmp_path, battery, out_name="parallel", specs=specs, jobs=2)
     run_benchmark(RunConfig.load(str(p1)))
     run_benchmark(RunConfig.load(str(p2)))
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
-    rows = strip(read_records(c1["output_dir"]))
-    assert rows == strip(read_records(c2["output_dir"]))
+    rows, labels = run_outputs(c1["output_dir"])
+    assert (rows, labels) == run_outputs(c2["output_dir"])
     assert len(rows) == 12 and all(r["status"] == "ok" for r in rows)
+    assert len(labels) == 12
+
+
+def test_run_draws_one_kmeans_per_dataset_and_k(tmp_path, monkeypatch):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery)
+    calls = counted_kmeans(monkeypatch)
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    assert failures == 0 and len(rows) == 6
+    # toy/blobs at k = 2, then toy/pairs at k = 2 and 4; the second spec
+    # of each dataset climbs from the first one's pools
+    assert calls == [2, 2, 4]
+
+
+def test_run_climbs_every_spec_from_the_pool_of_its_dataset_and_k(tmp_path):
+    # uniform points under a random reference: where a short climb ends
+    # depends on the starts it is given
+    battery = write_battery(tmp_path / "battery")
+    rng = np.random.default_rng(1)
+    lines = "\n".join(f"{x:.9f} {y:.9f}" for x, y in rng.uniform(size=(40, 2)))
+    (battery / "toy" / "uniform.data").write_text(lines + "\n")
+    ref = rng.permutation(np.arange(40) % 3) + 1
+    (battery / "toy" / "uniform.labels0").write_text("\n".join(map(str, ref)) + "\n")
+    path, _ = make_config(tmp_path, battery, patience=2, n_random=3, n_vantage=3)
+    cfg = RunConfig.load(str(path))
+    rows, _ = run_benchmark(cfg)
+    assert len(rows) == 8
+    for r in rows:
+        ds, refs = cli._set_up(cfg, r["dataset"], {})
+        k = int(r["k"])
+        best, trace = cli.optim.optimise_dataset(
+            cli.parse_spec(r["method"]),
+            ds,
+            k,
+            refs=refs,
+            seed=cli.derived_seed(cfg.seed, r["dataset"], "pool", str(k)),
+            P=cfg.patience,
+            n_random=cfg.n_random,
+            n_vantage=cfg.n_vantage,
+            vantage_v=cfg.vantage_v,
+            kmeans_restarts=cfg.kmeans_restarts,
+        )
+        labels = dataio.load_labels(os.path.join(cfg.output_dir, r["labels_path"]))
+        assert np.array_equal(labels - 1, best.labels)
+        assert (r["candidates"], r["tabu_size"]) == (str(trace.candidate_count), str(trace.tabu_size))
+
+
+def test_resumed_run_with_another_spec_equals_one_run_of_both(tmp_path):
+    battery = write_battery(tmp_path / "battery")
+    both = ["CalinskiHarabasz", "GDunn_d1_D1"]
+    path, _ = make_config(tmp_path, battery, out_name="grown", specs=both[:1])
+    run_benchmark(RunConfig.load(str(path)))
+    path, grown = make_config(tmp_path, battery, out_name="grown", specs=both)
+    run_benchmark(RunConfig.load(str(path)))
+    path, whole = make_config(tmp_path, battery, out_name="whole", specs=both)
+    run_benchmark(RunConfig.load(str(path)))
+    rows, labels = run_outputs(grown["output_dir"])
+    assert (rows, labels) == run_outputs(whole["output_dir"])
+    assert len(rows) == len(labels) == 6
 
 
 def counted_loads(monkeypatch) -> list:

@@ -8,6 +8,7 @@ from conftest import (
     apply_move,
     climb_by_peek,
     coarse_grid,
+    counted_kmeans,
     duplicate_points,
     enumerate_moves,
     k_partitions,
@@ -289,6 +290,47 @@ def test_optimise_dataset_leaves_out_candidates_it_cannot_draw():
     best, trace = optimise_dataset(spec, ds, 28, seed=0, P=5)
     assert trace.candidate_count == 1
     assert best.k == 28
+
+
+def test_optimise_dataset_stops_drawing_from_a_failed_stream(monkeypatch):
+    # one failed draw per stream: the random stream and the vantage
+    # fallback each stop, the vantage-point draws go on
+    draws, vantage = [], []
+
+    def no_random(n, k, rng):
+        draws.append(rng)
+        raise GenerationError("no surjective draw")
+
+    def no_vantage(ds, k, V, rng):
+        vantage.append(rng)
+        raise GenerationError("no surjective vantage draw")
+
+    monkeypatch.setattr(optim, "random_partition", no_random)
+    monkeypatch.setattr(optim, "vantage_point_partition", no_vantage)
+    ds = make_dataset(np.random.default_rng(9), 12, 2)
+    _, trace = optimise_dataset(parse_spec("CalinskiHarabasz"), ds, 3, seed=0, P=5)
+    assert trace.candidate_count == 1
+    assert len(draws) == 2 and draws[0] is not draws[1]
+    assert len(vantage) == 5 and draws[1] is vantage[0]
+
+
+def test_optimise_dataset_draws_a_pool_once_per_dataset_and_arguments(monkeypatch):
+    points = make_dataset(np.random.default_rng(5), 40, 2).points
+    ds = dataio.Dataset(points)
+    calls = counted_kmeans(monkeypatch)
+    kw = dict(seed=3, P=5, n_random=2, n_vantage=2)
+    optimise_dataset(parse_spec("CalinskiHarabasz"), ds, 3, **kw)
+    best, trace = optimise_dataset(parse_spec("Silhouette"), ds, 3, **kw)
+    assert calls == [3]  # the second spec reuses the first one's pool
+    fresh, fresh_trace = optimise_dataset(parse_spec("Silhouette"), dataio.Dataset(points), 3, **kw)
+    assert calls == [3, 3]
+    assert np.array_equal(best.labels, fresh.labels) and trace == fresh_trace
+    # any other seed, k or restart count draws afresh
+    spec = parse_spec("BallHall")
+    optimise_dataset(spec, ds, 3, **dict(kw, seed=4))
+    optimise_dataset(spec, ds, 4, **kw)
+    optimise_dataset(spec, ds, 3, **kw, kmeans_restarts=2)
+    assert calls == [3, 3, 3, 4, 3]
 
 
 def test_optimise_dataset_uses_references(x4):

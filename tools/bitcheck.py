@@ -1,6 +1,6 @@
-"""Compare the incremental evaluators, k-means, EMST, tabu climb and
-canonical relabelling of a git revision with the working tree's, bit for
-bit.
+"""Compare the incremental evaluators, k-means, EMST, tabu climb,
+``optimise_dataset`` and canonical relabelling of a git revision with the
+working tree's, bit for bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
@@ -21,6 +21,11 @@ compares with ``==``:
 - ``emst``: every edge end and weight, in order;
 - ``tabu_hill_climb`` for a few specs and patiences, from the random
   candidates of each dataset: the labels and the whole ``OptimTrace``;
+- ``optimise_dataset`` for a few pairs of specs, with a reference labeling
+  (one point marked noise) and every generator: the labels and the whole
+  ``OptimTrace``; the second spec of a pair runs on the first one's
+  ``Dataset`` with the same seed, so the working tree reuses its cached
+  candidate pool;
 - ``relabel_first_occurrence`` on the test suite's label vectors.
 
 The datasets come from the test suite's generators in
@@ -28,7 +33,7 @@ The datasets come from the test suite's generators in
 distances) and raw duplicate points, at d in {1, 2, 8, 12} and k in
 {2, 3, 5}; each runs once on the dense distance matrix with the default
 row blocks and once on on-demand rows with 64-cell blocks.  Prints the
-count compared per spec and for k-means and the EMST; exits 1 on any
+count compared per spec and for each other function; exits 1 on any
 mismatch.
 """
 
@@ -45,7 +50,7 @@ import numpy as np
 
 from cviopt import geometry, optim, partition
 from cviopt.cvi import evaluators, parse_spec
-from cviopt.dataio import Dataset
+from cviopt.dataio import Dataset, ReferenceSet
 from cviopt.partition import from_labels
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -211,6 +216,29 @@ def compare_climb(old_optim, rng) -> tuple[int, int]:
     return climbs, bad
 
 
+#: pairs of specs of the ``optimise_dataset`` comparison
+OPTIMISE_SPECS = [("CalinskiHarabasz", "Silhouette"), ("GDunn_d1_D1", "DuNN_5_Min_Const")]
+
+
+def compare_optimise(old_optim, rng) -> tuple[int, int]:
+    """(runs compared, mismatches) of ``optimise_dataset``: labels and the
+    whole ``OptimTrace``, REV's from its own class."""
+    runs = bad = 0
+    for ds, k in datasets(rng):
+        ext = rng.permutation(np.arange(ds.n) % k) + 1
+        ext[0] = 0
+        refs = ReferenceSet([ext])
+        for pair in OPTIMISE_SPECS:
+            kw = dict(refs=refs, seed=int(rng.integers(2**32)), P=5, n_random=2, n_vantage=2)
+            for text in pair:
+                spec = parse_spec(text)
+                a, old_trace = old_optim.optimise_dataset(spec, ds, k, **kw)
+                b, new_trace = optim.optimise_dataset(spec, ds, k, **kw)
+                runs += 1
+                bad += not (np.array_equal(a.labels, b.labels) and vars(old_trace) == vars(new_trace))
+    return runs, bad
+
+
 def compare_relabel(old_partition, rng) -> tuple[int, int]:
     """(vectors compared, mismatches) of ``relabel_first_occurrence``."""
     vectors = bad = 0
@@ -261,9 +289,12 @@ def main(argv=None) -> int:
     print(f"emst {edges} edges, {emst_bad} mismatches")
     climbs, climb_bad = compare_climb(old_optim, np.random.default_rng(3))
     print(f"tabu_hill_climb {climbs} climbs, {climb_bad} mismatches")
+    runs, optimise_bad = compare_optimise(old_optim, np.random.default_rng(5))
+    print(f"optimise_dataset {runs} runs, {optimise_bad} mismatches")
     vectors, relabel_bad = compare_relabel(old_partition, np.random.default_rng(4))
     print(f"relabel_first_occurrence {vectors} vectors, {relabel_bad} mismatches")
-    return 1 if total_bad or kmeans_bad or emst_bad or climb_bad or relabel_bad else 0
+    bad = total_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
