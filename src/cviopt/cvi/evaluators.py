@@ -462,12 +462,12 @@ class _EdgeSplit:
         vals = np.append(self._w if low else self._w[::-1], np.nan)[pick]
         if spec.delta is None:
             return vals[:, 0]
-        # owa.aggregate's dot over the min(t, z) extremes, one row at a time
-        # (a matrix product may add in another order)
+        # owa.aggregate's dot over the min(t, z) extremes: vecdot runs the
+        # same ddot on each row (a matrix product may add in another order)
         out, m = np.full(len(p), np.nan), (pick < e).sum(axis=1)
         for size in np.unique(m[m > 0]).tolist():
             w, rows = owa.smooth_extreme_weights(spec.delta, size), np.flatnonzero(m == size)
-            out[rows] = [np.dot(w, row) for row in vals[rows, :size]]
+            out[rows] = np.vecdot(vals[rows, :size], w)
         return out
 
     def _incident(self, labels: np.ndarray, p: np.ndarray):

@@ -11,9 +11,11 @@ only at the file boundary.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 import os
+import re
+import warnings
+import zlib
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +32,10 @@ from .errors import (
 
 #: Relative magnitude of the decollision jitter added by :func:`preprocess`.
 JITTER_RELATIVE_SD = 1e-6
+
+#: A label file as :func:`save_labels` writes it: ASCII digits, at most
+#: 18 of them (so below 2**63), one label per line.
+_PLAIN_LABELS = re.compile(r"[0-9]{1,18}(?:\n[0-9]{1,18})*\n?")
 
 
 class Dataset:
@@ -107,11 +113,15 @@ class ReferenceSet:
         return sorted(set(self.cardinalities))
 
 
-def _open_text(path: str | os.PathLike) -> io.TextIOBase:
-    # gzip transparency keyed on the file name, per the battery convention
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "rt", encoding="utf-8")
+def _read_text(path: str | os.PathLike) -> str:
+    """The whole file as text, with universal newlines; gzip transparency
+    keyed on the file name, per the battery convention."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            return fh.read()
+    except (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataParseError(f"{path}: cannot be read: {exc}") from exc
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
@@ -119,32 +129,66 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 
     Raises:
         DataFormatError: rows have unequal column counts.
-        DataParseError: a token is not a finite decimal number.
+        DataParseError: a token is not a finite decimal number, or the
+            file is not UTF-8 text (or not a whole gzip stream).
         EmptyInputError: the file holds no data rows.
     """
+    text = _read_text(path)
+    points = _plain_matrix(text)
+    return Dataset(_parse_matrix(path, text) if points is None else points)
+
+
+def _plain_matrix(text: str) -> np.ndarray | None:
+    """``text`` as a matrix in one ``np.fromstring`` call, or None unless
+    every token parses to a finite value and every non-blank line holds
+    as many tokens as the first.  ``np.fromstring`` rounds as ``float()``
+    does and rejects any token it cannot read whole; the blanks it skips,
+    tab, LF, VT, FF, CR and space, are ``str.split``'s too, and it rejects
+    the others (0x1c-0x1f)."""
+    if not text.isascii():
+        return None
+    try:
+        with warnings.catch_warnings():  # older numpy warns, and stops, at a bad token
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.float64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    codes = np.frombuffer(("\n" + text).encode("ascii"), dtype=np.uint8)
+    blank = codes <= 32  # control bytes other than blanks failed the parse
+    starts = np.flatnonzero(blank[:-1] & ~blank[1:]) + 1
+    if values.size == 0 or values.size != starts.size or not np.isfinite(values).all():
+        return None
+    widths = np.bincount(np.searchsorted(np.flatnonzero(codes == 10), starts))
+    widths = widths[widths > 0]
+    if widths.min() != widths.max():
+        return None
+    return values.reshape(widths.size, widths[0])
+
+
+def _parse_matrix(path: str | os.PathLike, text: str) -> np.ndarray:
+    # the accepted grammar of a data file and its errors, line by line
     rows: list[list[float]] = []
     ncols = None
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                row = [float(t) for t in tokens]
-            except ValueError as exc:
-                raise DataParseError(f"{path}:{lineno}: non-numeric token") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise DataParseError(f"{path}:{lineno}: non-finite value")
-            if ncols is None:
-                ncols = len(row)
-            elif len(row) != ncols:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {ncols} columns, got {len(row)}"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError as exc:
+            raise DataParseError(f"{path}:{lineno}: non-numeric token") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise DataParseError(f"{path}:{lineno}: non-finite value")
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {ncols} columns, got {len(row)}"
+            )
+        rows.append(row)
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    return Dataset(np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def load_labels(path: str | os.PathLike, n: int | None = None) -> np.ndarray:
@@ -154,21 +198,32 @@ def load_labels(path: str | os.PathLike, n: int | None = None) -> np.ndarray:
     Returns the labels in the external convention (0 = noise, clusters
     numbered from 1).
     """
+    text = _read_text(path)
+    if _PLAIN_LABELS.fullmatch(text):
+        labels = np.fromstring(text, dtype=np.int64, sep="\n")
+    else:
+        labels = _parse_labels(path, text)
+    if n is not None and len(labels) != n:
+        raise LengthMismatchError(f"{path}: {len(labels)} labels, expected {n}")
+    return labels
+
+
+def _parse_labels(path: str | os.PathLike, text: str) -> np.ndarray:
+    # the accepted grammar of a label file and its errors, line by line
     values: list[int] = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                v = int(token)
-            except ValueError as exc:
-                raise DataParseError(f"{path}:{lineno}: not an integer") from exc
-            if v < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative label {v}")
-            values.append(v)
-    if n is not None and len(values) != n:
-        raise LengthMismatchError(f"{path}: {len(values)} labels, expected {n}")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        token = line.strip()
+        if not token:
+            continue
+        try:
+            v = int(token)
+        except ValueError as exc:
+            raise DataParseError(f"{path}:{lineno}: not an integer") from exc
+        if v < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative label {v}")
+        if v >= 2**63:
+            raise DataParseError(f"{path}:{lineno}: label does not fit in 64 bits")
+        values.append(v)
     return np.asarray(values, dtype=np.int64)
 
 

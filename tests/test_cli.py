@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import os
 
@@ -314,6 +315,25 @@ def test_cli_missing_file_is_a_clean_error(tmp_path, capsys):
     rc = cli.main(["score", "--labels", str(tmp_path / "nope.labels"), "--refs", str(ref)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unreadable_files_are_clean_errors(tmp_path, capsys):
+    good = tmp_path / "good.labels"
+    good.write_text("1\n2\n")
+    cut = tmp_path / "cut.labels.gz"
+    cut.write_bytes(gzip.compress(b"1\n2\n" * 50)[:-5])
+    big = tmp_path / "big.labels"
+    big.write_text("1\n99999999999999999999\n")
+    data = tmp_path / "d.data"
+    data.write_bytes(b"0\n1\xff\n")
+    for argv in (
+        ["score", "--labels", str(good), "--refs", str(cut)],
+        ["score", "--labels", str(big), "--refs", str(good)],
+        ["cvi", "--data", str(data), "--labels", str(good), "--spec", "BallHall"],
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_run_parallel_jobs_match_serial(tmp_path):

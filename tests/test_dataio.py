@@ -211,3 +211,126 @@ def test_reference_set_validation():
         dataio.ReferenceSet([np.array([1, 2]), np.array([1, 2, 2])])
     with pytest.raises(EmptyInputError):
         dataio.ReferenceSet([])
+
+
+def _outcome(read, path):
+    # the loaded array's dtype, shape and bytes, or the exception raised
+    try:
+        out = read(path)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    out = getattr(out, "points", out)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _matrix_text():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-300, 300, size=(60, 3))
+    x[:4] = [[5e-324, -2.5e-320, 0.0], [-0.0, 1.0, -1.0], [0.5, 5.0, 1e308], [1e-308, 3.0, 7.0]]
+    formats = [lambda v: f"{v:.17g}", lambda v: f"{v:.6g}", repr]
+    lines = [" ".join(formats[i % 3](float(v)) for v in row) for i, row in enumerate(x)]
+    return "\n".join(lines + ["+1 .5 5.", "-0 +0. 1E5"]) + "\n"
+
+
+LABEL_CORPUS = {
+    "plain": "1\n2\n3\n0\n",
+    "no-final-newline": "1\n2",
+    "empty": "",
+    "blank-only": "\n \n",
+    "blank-lines": "1\n\n2\n",
+    "crlf": "1\r\n2\r\n",
+    "cr": "1\r2\r",
+    "blanks-around": " 1\n\t2 \n",
+    "leading-zeros": "007\n",
+    "plus": "+3\n",
+    "underscore": "1_0\n",
+    "non-ascii-digit": "٣\n",
+    "18-digits": "9" * 18 + "\n",
+    "19-digits": "9" * 19 + "\n",
+    "20-digits": "9" * 20 + "\n",
+    "int64-max": f"1\n{2**63 - 1}\n",
+    "int64-max-plus-1": f"1\n{2**63}\n",
+    "negative": "1\n-2\n",
+    "fraction": "1\n1.5\n",
+    "two-tokens": "1 2\n",
+    "letter": "1\nx\n",
+    "many": "".join(f"{v}\n" for v in np.random.default_rng(0).integers(1, 13, size=500)),
+}
+
+DATA_CORPUS = {
+    "plain": "1 2\n3 4\n",
+    "formats": _matrix_text(),
+    "no-final-newline": "1 2\n3 4",
+    "empty": "",
+    "blank-only": "\n \t\n",
+    "blank-lines": "1 2\n\n3 4\n\n",
+    "crlf": "1 2\r\n3 4\r\n",
+    "blanks-around": " 1\t2 \n\t3  4\t\n",
+    "vt-ff-blanks": "1\x0b2\n3\x0c4\n",
+    "file-separator": "1\x1c2\n3 4\n",
+    "ragged": "1 2\n3\n",
+    "ragged-same-total": "1 2 3\n4\n5 6\n",
+    "nan": "1 nan\n",
+    "inf": "inf 1\n",
+    "overflow": "1e400 2\n",
+    "underscore": "1_000 2\n",
+    "letter": "1 x\n",
+    "minus-inside": "1-2 3\n",
+    "non-ascii-digit": "٣ 1\n",
+    "single-column": "1\n2\n3\n",
+}
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize(
+    "kind, text",
+    [("labels", t) for t in LABEL_CORPUS.values()] + [("data", t) for t in DATA_CORPUS.values()],
+    ids=[f"labels-{k}" for k in LABEL_CORPUS] + [f"data-{k}" for k in DATA_CORPUS],
+)
+def test_bulk_read_equals_the_line_loop(tmp_path, kind, text, suffix):
+    path = tmp_path / (f"f.{kind}" + suffix)
+    raw = text.encode("utf-8")
+    path.write_bytes(gzip.compress(raw) if suffix else raw)
+    if kind == "labels":
+        got = _outcome(dataio.load_labels, path)
+        want = _outcome(lambda p: dataio._parse_labels(p, dataio._read_text(p)), path)
+    else:
+        got = _outcome(dataio.load_dataset, path)
+        want = _outcome(lambda p: dataio.Dataset(dataio._parse_matrix(p, dataio._read_text(p))), path)
+    assert got == want
+
+
+def test_plain_files_take_the_bulk_path(tmp_path, monkeypatch):
+    labels, data = tmp_path / "l.labels.gz", tmp_path / "d.data"
+    dataio.save_labels(np.arange(40) % 7, labels)
+    data.write_text(_matrix_text())
+    want = (dataio.load_labels(labels), dataio.load_dataset(data).points)
+    for name in ("_parse_labels", "_parse_matrix"):
+        monkeypatch.setattr(dataio, name, None)
+    assert np.array_equal(dataio.load_labels(labels), want[0])
+    assert np.array_equal(dataio.load_dataset(data).points, want[1])
+
+
+def test_label_beyond_int64_is_a_parse_error(tmp_path):
+    path = tmp_path / "big.labels"
+    path.write_text("1\n99999999999999999999\n")
+    with pytest.raises(DataParseError, match=r"big\.labels:2: "):
+        dataio.load_labels(path)
+
+
+UNREADABLE = {
+    "bad.labels": b"1\n\xff\n",
+    "bad.data": b"1 2\n\xfe 4\n",
+    "cut.labels.gz": gzip.compress(b"1\n2\n" * 100)[:-5],
+    "cut.data.gz": gzip.compress(b"1 2\n" * 100)[:-5],
+    "junk.data.gz": b"1 2\n3 4\n",
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_file_is_a_parse_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(UNREADABLE[name])
+    load = dataio.load_labels if ".labels" in name else dataio.load_dataset
+    with pytest.raises(DataParseError, match=name.replace(".", r"\.")):
+        load(path)
