@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -165,15 +166,15 @@ def battery_paths(root: str, dataset_id: str) -> tuple[str, list[str]]:
             break
     if data is None:
         raise ConfigError(f"no data file for {dataset_id!r} under {root!r}")
-    refs = sorted(
-        glob.glob(base + ".labels[0-9]*") + glob.glob(base + ".labels[0-9]*.gz")
-    )
-    # keep one path per labeling index (first in sort order wins)
-    by_idx: dict[str, str] = {}
-    for path in refs:
-        stem = path[: -len(".gz")] if path.endswith(".gz") else path
-        by_idx.setdefault(stem, path)
-    return data, [by_idx[s] for s in sorted(by_idx)]
+    # <name>.labels<digits>[.gz], one per number (a plain file wins over
+    # its .gz), in numeric order
+    by_number: dict[str, str] = {}
+    found = glob.glob(glob.escape(base) + ".labels*")
+    for path in sorted(found, key=lambda p: p.endswith(".gz")):
+        match = re.fullmatch(r"\.labels([0-9]+)(?:\.gz)?", path[len(base) :])
+        if match:
+            by_number.setdefault(match[1], path)
+    return data, [by_number[j] for j in sorted(by_number, key=lambda j: (int(j), j))]
 
 
 def load_reference_set(root: str, dataset_id: str, n: int) -> dataio.ReferenceSet | None:

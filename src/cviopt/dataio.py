@@ -14,6 +14,7 @@ import gzip
 import math
 import os
 import re
+import threading
 import warnings
 import zlib
 from typing import Sequence
@@ -41,6 +42,10 @@ _PLAIN_LABELS = re.compile(r"[0-9]{1,18}(?:\n[0-9]{1,18})*\n?")
 class Dataset:
     """An immutable n x d point cloud of 64-bit floats.
 
+    The points never change, so data derived from them (distances, kNN
+    graphs, the EMST, candidate pools) is memoised on the instance by
+    :meth:`cached` and freed with it.
+
     Attributes:
         points: read-only array of shape (n, d).
         n: number of points.
@@ -59,6 +64,20 @@ class Dataset:
         self.points = pts
         self.n = pts.shape[0]
         self.d = pts.shape[1]
+        self._memo: dict = {}
+        self._memo_lock = threading.Lock()
+
+    def cached(self, key, build):
+        """``build()``, computed once per ``key`` and kept while this dataset
+        lives.  ``build`` runs outside the lock, so a slow build blocks no
+        other caller; when two first calls race, both get the value stored
+        first."""
+        with self._memo_lock:
+            if key in self._memo:
+                return self._memo[key]
+        value = build()
+        with self._memo_lock:
+            return self._memo.setdefault(key, value)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Dataset(n={self.n}, d={self.d})"

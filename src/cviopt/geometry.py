@@ -1,6 +1,6 @@
 """Shared Euclidean geometry: cached pairwise distances and the exact EMST.
 
-Caches are keyed by Dataset identity (weak references), so a dataset's
+Both are memoised on the Dataset (:meth:`Dataset.cached`), so a dataset's
 distance matrix and minimum spanning tree are computed once and reused by
 every index evaluator and optimization run over that dataset.  Every
 consumer reads distances through :class:`DistanceProvider`; only this
@@ -11,8 +11,6 @@ or each row is computed on demand.
 from __future__ import annotations
 
 import os
-import threading
-import weakref
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -25,23 +23,17 @@ DENSE_LIMIT = int(os.environ.get("CVIOPT_DENSE_LIMIT", "4096"))
 #: temporaries.
 _BLOCK_CELLS = 1 << 14
 
-_lock = threading.Lock()
-_pairwise_cache: "weakref.WeakKeyDictionary[Dataset, np.ndarray]" = weakref.WeakKeyDictionary()
-_emst_cache: "weakref.WeakKeyDictionary[Dataset, tuple]" = weakref.WeakKeyDictionary()
-
 
 def pairwise(ds: Dataset) -> np.ndarray | None:
     """Full distance matrix for small datasets, None above DENSE_LIMIT."""
     if ds.n > DENSE_LIMIT:
         return None
-    with _lock:
-        mat = _pairwise_cache.get(ds)
-    if mat is None:
-        mat = cdist(ds.points, ds.points)
-        mat.setflags(write=False)
-        with _lock:
-            _pairwise_cache[ds] = mat
-    return mat
+    return ds.cached("pairwise", lambda: _read_only(cdist(ds.points, ds.points)))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 class DistanceProvider:
@@ -111,10 +103,10 @@ def emst(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     by (u, v), and weigh the row entry they were chosen by, so duplicate
     points join by zero-weight edges.  Ties go to the lower point index.
     """
-    with _lock:
-        cached = _emst_cache.get(ds)
-    if cached is not None:
-        return cached
+    return ds.cached("emst", lambda: _prim(ds))
+
+
+def _prim(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dp, n = DistanceProvider(ds), ds.n
     outside = np.ones(n, dtype=bool)  # points not yet in the tree
     outside[0] = False
@@ -132,9 +124,4 @@ def emst(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.copyto(near, row, where=closer)
         np.copyto(via, p, where=closer)
     order = np.lexsort((v, u))
-    result = (u[order], v[order], w[order])
-    for arr in result:
-        arr.setflags(write=False)
-    with _lock:
-        _emst_cache[ds] = result
-    return result
+    return tuple(_read_only(arr[order]) for arr in (u, v, w))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,30 +109,11 @@ def connected_components(g: NNGraph) -> np.ndarray:
     return relabel_first_occurrence(labels.astype(np.int64))
 
 
-_lock = threading.Lock()
-_graph_cache: "weakref.WeakKeyDictionary[Dataset, dict]" = weakref.WeakKeyDictionary()
-_edge_cache: "weakref.WeakKeyDictionary[Dataset, dict]" = weakref.WeakKeyDictionary()
-
-
 def knn_for(ds: Dataset, M: int) -> NNGraph:
     """Cached build_knn: each (dataset, M) graph is computed once."""
-    with _lock:
-        per_ds = _graph_cache.setdefault(ds, {})
-        g = per_ds.get(M)
-    if g is None:
-        g = build_knn(ds, M)
-        with _lock:
-            per_ds[M] = g
-    return g
+    return ds.cached(("knn", M), lambda: build_knn(ds, M))
 
 
 def edges_for(ds: Dataset, M: int) -> EdgeList:
     """Cached symmetrized edge list for (dataset, M)."""
-    with _lock:
-        per_ds = _edge_cache.setdefault(ds, {})
-        e = per_ds.get(M)
-    if e is None:
-        e = symmetric_edges(knn_for(ds, M))
-        with _lock:
-            per_ds[M] = e
-    return e
+    return ds.cached(("edges", M), lambda: symmetric_edges(knn_for(ds, M)))

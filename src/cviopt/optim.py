@@ -19,8 +19,6 @@ list.
 from __future__ import annotations
 
 import os
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -316,10 +314,6 @@ def _ingest_candidate_files(
     return out
 
 
-_pool_lock = threading.Lock()
-_pool_cache: "weakref.WeakKeyDictionary[Dataset, dict]" = weakref.WeakKeyDictionary()
-
-
 def _generated_candidates(
     ds: Dataset, k: int, seed: int, n_random: int, n_vantage: int, vantage_v: int,
     kmeans_restarts: int,
@@ -327,43 +321,40 @@ def _generated_candidates(
     """The random, vantage-point and k-means candidates of a pool, in that
     order, drawn from three streams spawned from ``seed``.
 
-    Cached per dataset and arguments, so the specs that share a dataset
+    Memoised on ``ds`` per arguments, so the specs that share a dataset
     and a seed share one draw (and one k-means); each call returns a new
     list of the cached, read-only partitions.  A candidate that cannot be
     drawn (k near n) is left out, and a stream whose draw failed once is
     not drawn from again: its next draw would be as hopeless.
     """
-    key = (k, seed, n_random, n_vantage, vantage_v, kmeans_restarts)
-    with _pool_lock:
-        per_ds = _pool_cache.setdefault(ds, {})
-        pool = per_ds.get(key)
-    if pool is not None:
-        return list(pool)
-    pool = []
-    streams = np.random.SeedSequence(seed).spawn(3)
-    rng_random = np.random.default_rng(streams[0])
-    rng_vantage = np.random.default_rng(streams[1])
-    rng_kmeans = np.random.default_rng(streams[2])
-    for _ in range(n_random):
-        try:
-            pool.append(random_partition(ds.n, k, rng_random))
-        except GenerationError:
-            break
-    fallback = True
-    for _ in range(n_vantage):
-        try:
-            pool.append(vantage_point_partition(ds, k, V=vantage_v, rng=rng_vantage))
-        except GenerationError:
-            if fallback:
-                try:
-                    pool.append(random_partition(ds.n, k, rng_vantage))
-                except GenerationError:
-                    fallback = False
-    if kmeans_restarts > 0:
-        pool.append(lloyd_kmeans(ds, k, restarts=kmeans_restarts, rng=rng_kmeans))
-    with _pool_lock:
-        per_ds[key] = pool
-    return list(pool)
+
+    def draw() -> list[Partition]:
+        pool = []
+        streams = np.random.SeedSequence(seed).spawn(3)
+        rng_random = np.random.default_rng(streams[0])
+        rng_vantage = np.random.default_rng(streams[1])
+        rng_kmeans = np.random.default_rng(streams[2])
+        for _ in range(n_random):
+            try:
+                pool.append(random_partition(ds.n, k, rng_random))
+            except GenerationError:
+                break
+        fallback = True
+        for _ in range(n_vantage):
+            try:
+                pool.append(vantage_point_partition(ds, k, V=vantage_v, rng=rng_vantage))
+            except GenerationError:
+                if fallback:
+                    try:
+                        pool.append(random_partition(ds.n, k, rng_vantage))
+                    except GenerationError:
+                        fallback = False
+        if kmeans_restarts > 0:
+            pool.append(lloyd_kmeans(ds, k, restarts=kmeans_restarts, rng=rng_kmeans))
+        return pool
+
+    key = ("pool", k, seed, n_random, n_vantage, vantage_v, kmeans_restarts)
+    return list(ds.cached(key, draw))
 
 
 def optimise_dataset(

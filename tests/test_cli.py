@@ -73,6 +73,18 @@ def test_discover_datasets(tmp_path):
     assert discover_datasets(str(battery)) == ["toy/blobs", "toy/pairs"]
 
 
+def test_battery_paths_takes_numbered_label_files_in_numeric_order(tmp_path):
+    suite = tmp_path / "s"
+    suite.mkdir()
+    for suffix in ("data", "labels0", "labels0.bak", "labels1", "labels1.gz", "labels2", "labels10"):
+        (suite / f"x.{suffix}").write_text("")
+    data, refs = cli.battery_paths(str(tmp_path), "s/x")
+    base = os.path.join(str(tmp_path), "s", "x")
+    assert data == base + ".data"
+    # a stray backup is no reference; the plain labels1 wins over its .gz
+    assert refs == [f"{base}.labels{j}" for j in (0, 1, 2, 10)]
+
+
 def test_config_validation(tmp_path):
     battery = write_battery(tmp_path / "battery")
     path, _ = make_config(tmp_path, battery, specs=["Nonsense"])

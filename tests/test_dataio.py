@@ -1,9 +1,14 @@
+import gc
 import gzip
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from cviopt import dataio
+from conftest import make_dataset
+from cviopt import dataio, geometry, nngraph, optim
 from cviopt.errors import (
     DataFormatError,
     DataParseError,
@@ -334,3 +339,54 @@ def test_unreadable_file_is_a_parse_error_naming_it(tmp_path, name):
     load = dataio.load_labels if ".labels" in name else dataio.load_dataset
     with pytest.raises(DataParseError, match=name.replace(".", r"\.")):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "derive",
+    (lambda ds: nngraph.knn_for(ds, 10), geometry.pairwise, geometry.emst),
+    ids=("knn_for", "pairwise", "emst"),
+)
+def test_first_calls_from_several_threads_get_one_object(derive):
+    ds = make_dataset(np.random.default_rng(8), 1500, 2)
+    barrier = threading.Barrier(6)
+    got = []
+
+    def call():
+        barrier.wait(timeout=60)
+        got.append(derive(ds))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6 and all(g is got[0] for g in got)
+
+
+def test_cached_data_is_freed_with_its_dataset():
+    ds = make_dataset(np.random.default_rng(9), 40, 2)
+    pool = optim._generated_candidates(ds, 3, 0, 2, 2, 2, 2)
+    derived = (
+        geometry.pairwise(ds),
+        geometry.emst(ds)[0],
+        nngraph.knn_for(ds, 3),
+        nngraph.edges_for(ds, 3),
+        pool[0].labels,
+    )
+    refs = [weakref.ref(obj) for obj in derived]
+    del pool, derived
+    assert all(ref() is not None for ref in refs)  # held by the dataset
+    enabled = gc.isenabled()
+    gc.disable()  # freed by reference counting, not by a cycle collection
+    try:
+        del ds
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
