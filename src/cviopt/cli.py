@@ -149,7 +149,7 @@ def discover_datasets(root: str) -> list[str]:
     """Dataset ids ("suite/name") under a battery root."""
     ids = set()
     for pattern in ("*/*.data", "*/*.data.gz"):
-        for path in glob.glob(os.path.join(root, pattern)):
+        for path in glob.glob(os.path.join(glob.escape(root), pattern)):
             rel = os.path.relpath(path, root)
             rel = rel[: -len(".gz")] if rel.endswith(".gz") else rel
             ids.add(rel[: -len(".data")])
@@ -185,8 +185,12 @@ def load_reference_set(root: str, dataset_id: str, n: int) -> dataio.ReferenceSe
 
 
 def _nn_component_minimum(ds: dataio.Dataset, m: int) -> int:
-    comps = connected_components(knn_for(ds, m))
-    return int(np.bincount(comps).min())
+    """The smallest component size of the M-NN graph, once per (dataset, M)."""
+
+    def build() -> int:
+        return int(np.bincount(connected_components(knn_for(ds, m))).min())
+
+    return ds.cached(("components", m), build)
 
 
 def _failure(exc: Exception) -> str:

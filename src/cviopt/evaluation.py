@@ -2,7 +2,10 @@
 
 The adjusted Rand index is computed with exact integer pair counting and a
 single final division, so results are bit-reproducible and agree exactly
-with direct pair enumeration.
+with direct pair enumeration.  One call scores a labeling against one other
+or against an (m, n) stack of them; each ARI of the stack equals the
+one-pair call bit for bit, so ``method_dissimilarity`` scores each unit
+with one call per method against all later ones.
 """
 
 from __future__ import annotations
@@ -22,52 +25,61 @@ from .errors import (
 )
 
 
-def contingency(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-    """Co-occurrence counts of two non-negative integer labelings: cell
-    (i, j) counts the points labeled i in ``a`` and j in ``b``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ncols = int(b.max()) + 1
-    cells = np.bincount(a * ncols + b, minlength=(int(a.max()) + 1) * ncols)
-    return cells.reshape(-1, ncols)
+def _row_counts(codes: np.ndarray, size: int) -> np.ndarray:
+    """The (m, size) counts of each row of an (m, n) array of codes in
+    [0, size), from one bincount of row-offset codes."""
+    m = codes.shape[0]
+    if m > 1:
+        codes = codes + np.arange(0, m * size, size)[:, None]
+    return np.bincount(codes.ravel(), minlength=m * size).reshape(m, size)
 
 
-def _pairs(counts: np.ndarray, total: int) -> int:
-    """Sum of C(c, 2) over ``counts``, which sum to ``total``, as a Python int."""
-    c = counts.ravel()
-    return (int(c @ c) - total) // 2
-
-
-def adjusted_rand(a, b, exclude_noise: bool = False) -> float:
+def adjusted_rand(a, b, exclude_noise: bool = False) -> float | list[float]:
     """Hubert-Arabie adjusted Rand index between two non-negative integer
     labelings.
 
+    ``b`` may also be an (m, n) stack of labelings: one call then returns
+    the list of the m ARIs of ``a`` against each row, each equal bit for
+    bit to the call with that row alone.  One bincount of row-offset cell
+    codes counts all m contingency tables, and one more the cluster sizes
+    of each row.
+
     With ``exclude_noise``, points labeled 0 in ``a`` (the reference) are
-    dropped from both vectors before counting.  The raw value is returned
-    and may be negative; see :func:`clamp_score`.
+    dropped from both before counting.  The raw value is returned and may
+    be negative; see :func:`clamp_score`.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatchError(f"label vectors of length {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[0] != b.shape[-1]:
+        raise LengthMismatchError(f"label vectors of length {a.shape[0]} vs {b.shape[-1]}")
     if exclude_noise:
         keep = a != 0
         a = a[keep]
-        b = b[keep]
-    if a.shape[0] < 2:
-        raise UndefinedScoreError("fewer than 2 points to score")
+        b = b.compress(keep, axis=-1)
     n = a.shape[0]
-    sum_t = _pairs(contingency(a, b), n)
-    sum_a = _pairs(np.bincount(a), n)
-    sum_b = _pairs(np.bincount(b), n)
+    if n < 2:
+        raise UndefinedScoreError("fewer than 2 points to score")
+    rows = b.reshape(-1, n)
+    sizes_a = np.bincount(a)
+    # all of b's labels: their range, and the cluster sizes of a lone row
+    sizes_b = np.bincount(rows.ravel())
+    ncols = sizes_b.shape[0]
+    table = _row_counts(a * ncols + rows, sizes_a.shape[0] * ncols)
+    sizes_b = _row_counts(rows, ncols) if rows.shape[0] > 1 else sizes_b[None]
+    # pair counts C(c, 2) summed from exact sums of squared counts
+    sum_a = (int(sizes_a @ sizes_a) - n) // 2
     cn2 = n * (n - 1) // 2
-    # ARI scaled to Python integers (cn2 * sum_t overflows int64 near
-    # n = 1e5); one correctly-rounded division at the end
-    num = 2 * (cn2 * sum_t - sum_a * sum_b)
-    den = cn2 * (sum_a + sum_b) - 2 * sum_a * sum_b
-    if den == 0:
-        return 1.0  # both labelings trivial and identical in structure
-    return num / den
+    aris = []
+    for sq_t, sq_b in zip(np.vecdot(table, table).tolist(), np.vecdot(sizes_b, sizes_b).tolist()):
+        sum_t = (sq_t - n) // 2
+        sum_b = (sq_b - n) // 2
+        # ARI scaled to Python integers (cn2 * sum_t overflows int64 near
+        # n = 1e5); one correctly-rounded division at the end
+        num = 2 * (cn2 * sum_t - sum_a * sum_b)
+        den = cn2 * (sum_a + sum_b) - 2 * sum_a * sum_b
+        # den == 0: both labelings trivial and identical in structure
+        aris.append(num / den if den else 1.0)
+    return aris if b.ndim == 2 else aris[0]
 
 
 def clamp_score(ari: float) -> float:
@@ -90,7 +102,12 @@ def best_reference_score(outputs: Mapping[int, Sequence[int]], refs: ReferenceSe
     return best
 
 
-_AGGREGATORS = {"mean": np.mean, "median": np.median, "q3": lambda v: np.percentile(v, 75)}
+#: row-wise forms: each reduces a (pairs, units) matrix along its units
+_AGGREGATORS = {
+    "mean": lambda v: np.mean(v, axis=1),
+    "median": lambda v: np.median(v, axis=1),
+    "q3": lambda v: np.percentile(v, 75, axis=1),
+}
 
 
 def method_dissimilarity(
@@ -101,7 +118,9 @@ def method_dissimilarity(
 
     ``results`` maps method name -> unit id -> label vector; each aggregator
     is one of mean, median, q3 (type-7 quartile).  Reference labels play no
-    role here and ARIs are deliberately not clamped.
+    role here and ARIs are deliberately not clamped.  Each unit's label
+    vectors are stacked once and scored one method against all later ones;
+    the pairs that share the same units are aggregated together.
     """
     for aggregator in aggregators:
         if aggregator not in _AGGREGATORS:
@@ -110,20 +129,39 @@ def method_dissimilarity(
     if len(names) < 2:
         raise ParameterError("need at least two methods to compare")
     m = len(names)
-    mats = {agg: np.zeros((m, m)) for agg in aggregators}
+    by_shared: dict[tuple, list[tuple[int, int]]] = {}
     for i in range(m):
         for j in range(i + 1, m):
-            shared = sorted(set(results[names[i]]) & set(results[names[j]]))
+            shared = tuple(sorted(set(results[names[i]]) & set(results[names[j]])))
             if not shared:
                 raise MissingOverlapError(
                     f"methods {names[i]!r} and {names[j]!r} share no dataset"
                 )
-            vals = [
-                1.0 - adjusted_rand(results[names[i]][u], results[names[j]][u])
-                for u in shared
-            ]
-            for agg, mat in mats.items():
-                mat[i, j] = mat[j, i] = float(_AGGREGATORS[agg](vals))
+            by_shared.setdefault(shared, []).append((i, j))
+    units = sorted(set().union(*by_shared))
+    column = {unit: u for u, unit in enumerate(units)}
+    # ari[i, j, u] for i < j: the ARI of methods i and j on units[u]
+    ari = np.full((m, m, len(units)), np.nan)
+    for u, unit in enumerate(units):
+        have = [i for i, name in enumerate(names) if unit in results[name]]
+        labels = [np.asarray(results[names[i]][unit]) for i in have]
+        for i, lab in zip(have, labels):
+            if len(lab) != len(labels[0]):
+                raise LengthMismatchError(
+                    f"{unit}: labels of {names[have[0]]!r} and {names[i]!r} have "
+                    f"lengths {len(labels[0])} vs {len(lab)}"
+                )
+        stack = np.stack(labels)
+        for r in range(len(have) - 1):
+            ari[have[r], have[r + 1 :], u] = adjusted_rand(stack[r], stack[r + 1 :])
+    mats = {agg: np.zeros((m, m)) for agg in aggregators}
+    for shared, pairs in by_shared.items():
+        rows, cols = np.array(pairs).T
+        # C-ordered (pairs, units): each row is reduced as the pair's
+        # own vector would be, so the sums run in the same order
+        diss = 1.0 - ari[rows[:, None], cols[:, None], [column[unit] for unit in shared]]
+        for agg, mat in mats.items():
+            mat[rows, cols] = mat[cols, rows] = _AGGREGATORS[agg](diss)
     return names, mats
 
 

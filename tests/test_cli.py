@@ -73,6 +73,11 @@ def test_discover_datasets(tmp_path):
     assert discover_datasets(str(battery)) == ["toy/blobs", "toy/pairs"]
 
 
+def test_discover_datasets_under_a_root_with_glob_characters(tmp_path):
+    battery = write_battery(tmp_path / "br[1]")
+    assert discover_datasets(str(battery)) == ["toy/blobs", "toy/pairs"]
+
+
 def test_battery_paths_takes_numbered_label_files_in_numeric_order(tmp_path):
     suite = tmp_path / "s"
     suite.mkdir()
@@ -207,6 +212,23 @@ def test_nn_policy_skip(tmp_path, monkeypatch):
     assert "component" in rows[0]["message"]
 
 
+def test_run_finds_nn_components_once_per_dataset_and_m(tmp_path, monkeypatch):
+    battery = write_battery(tmp_path / "battery")
+    path, _ = make_config(tmp_path, battery, specs=["WCNN_2", "DuNN_2_Min_Const", "DuNN_3_Min_Const"])
+    calls = []
+    components = cli.connected_components
+
+    def counted(graph):
+        calls.append(graph.M)
+        return components(graph)
+
+    monkeypatch.setattr(cli, "connected_components", counted)
+    rows, failures = run_benchmark(RunConfig.load(str(path)))
+    assert failures == 0 and all(r["status"] == "ok" for r in rows)
+    # toy/blobs, then toy/pairs: M=2 once for both M=2 specs, M=3 once
+    assert calls == [2, 3, 2, 3]
+
+
 def test_neighbourhood_budget_skip(tmp_path):
     battery = write_battery(tmp_path / "battery")
     path, _ = make_config(
@@ -275,6 +297,23 @@ def test_meta_cluster_bad_labels_file_is_a_clean_error(tmp_path, capsys):
     assert cli.main(["meta-cluster", "--records", records]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith(": not an integer")
+
+
+def test_meta_cluster_truncated_labels_file_is_a_clean_error(tmp_path, capsys):
+    battery = write_battery(tmp_path / "battery")
+    path, cfg = make_config(tmp_path, battery, specs=["CalinskiHarabasz", "BallHall"])
+    rows, _ = run_benchmark(RunConfig.load(str(path)))
+    short = next(r for r in rows if r["status"] == "ok" and r["method"] == "BallHall")
+    labels = os.path.join(cfg["output_dir"], short["labels_path"])
+    with open(labels) as fh:
+        lines = fh.readlines()
+    with open(labels, "w") as fh:
+        fh.writelines(lines[:-1])
+    records = os.path.join(cfg["output_dir"], "records.csv")
+    assert cli.main(["meta-cluster", "--records", records]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{len(lines) - 1} vs {len(lines)}" in err  # BallHall is read first
 
 
 def test_cli_score_command(tmp_path, capsys):

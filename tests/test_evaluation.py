@@ -48,6 +48,62 @@ def test_ari_errors():
         adjusted_rand([0, 0, 1], [1, 2, 3], exclude_noise=True)
 
 
+def pair_formula_ari(a, b, exclude_noise=False) -> float:
+    """The one-pair formula as it stood before the stack form: a
+    contingency table from one bincount of cell codes, exact pair sums and
+    one division of Python ints."""
+    a, b = np.asarray(a), np.asarray(b)
+    if exclude_noise:
+        a, b = a[a != 0], b[a != 0]
+    n = a.shape[0]
+
+    def pairs(counts):
+        return (int(counts.ravel() @ counts.ravel()) - n) // 2
+
+    ncols = int(b.max()) + 1
+    table = np.bincount(a * ncols + b, minlength=(int(a.max()) + 1) * ncols)
+    sum_t, sum_a, sum_b = pairs(table), pairs(np.bincount(a)), pairs(np.bincount(b))
+    cn2 = n * (n - 1) // 2
+    num = 2 * (cn2 * sum_t - sum_a * sum_b)
+    den = cn2 * (sum_a + sum_b) - 2 * sum_a * sum_b
+    return num / den if den else 1.0
+
+
+def test_ari_stack_rows_equal_single_calls_and_the_pair_formula():
+    rng = np.random.default_rng(11)
+    for trial in range(20_000):
+        n = int(rng.integers(2, 60))
+        k = int(rng.integers(1, 7))
+        a = rng.integers(0, k, n)
+        stack = rng.integers(0, int(rng.integers(1, 7)), (int(rng.integers(1, 6)), n))
+        noise = bool(trial % 2)
+        if noise:
+            a[:2] = 1  # at least two points survive the exclusion
+        got = adjusted_rand(a, stack, exclude_noise=noise)
+        assert isinstance(got, list) and len(got) == len(stack)
+        for row, value in zip(stack, got):
+            single = adjusted_rand(a, row, exclude_noise=noise)
+            assert type(single) is float
+            assert value == single == pair_formula_ari(a, row, noise)
+
+
+def test_ari_stack_of_lists_and_errors():
+    a = [1, 1, 2, 2]
+    assert adjusted_rand(a, [[2, 2, 1, 1], [1, 2, 1, 2]]) == [1.0, -0.5]
+    assert adjusted_rand(a, [[1, 2, 1, 2]]) == [-0.5]
+    with pytest.raises(LengthMismatchError):
+        adjusted_rand(a, [[1, 2, 1], [1, 1, 2]])
+    with pytest.raises(UndefinedScoreError):
+        adjusted_rand([0, 0, 1, 0], [[1, 2, 1, 2], [1, 1, 1, 1]], exclude_noise=True)
+
+
+def test_row_counts_counts_each_row_apart():
+    # cell (r, c) counts the code c in row r; one bincount for all rows
+    codes = np.array([[0, 2, 2], [1, 1, 1], [2, 0, 1]])
+    assert evaluation._row_counts(codes, 3).tolist() == [[1, 0, 2], [0, 3, 0], [1, 1, 1]]
+    assert evaluation._row_counts(codes[:1], 4).tolist() == [[1, 0, 2, 0]]
+
+
 def test_ari_exhaustive_small_n_exact():
     for n in range(2, 6):
         parts = [list(p) for p in set_partitions(n)]
@@ -137,21 +193,69 @@ def test_method_dissimilarity_aggregators_differ():
 
 
 def test_method_dissimilarity_scores_each_pair_once_for_all_aggregators(monkeypatch):
-    # one ARI per method pair and shared unit, whatever the aggregators;
-    # an unknown aggregator fails before any is computed
+    # one ARI per method pair and shared unit, whatever the aggregators,
+    # counted as scored labelings (rows of a stacked call); an unknown
+    # aggregator fails before any is computed
     rng = np.random.default_rng(2)
     results = {m: {f"d{i}": rng.integers(0, 3, size=8) for i in range(4)} for m in "uvw"}
-    calls = []
+    scored = []
     ari = evaluation.adjusted_rand
-    monkeypatch.setattr(evaluation, "adjusted_rand", lambda a, b: calls.append(1) or ari(a, b))
+
+    def counted(a, b):
+        scored.append(len(np.atleast_2d(b)))
+        return ari(a, b)
+
+    monkeypatch.setattr(evaluation, "adjusted_rand", counted)
     with pytest.raises(ParameterError):
         method_dissimilarity(results, ("mean", "bogus"))
-    assert calls == []
+    assert scored == []
     names, mats = method_dissimilarity(results, ("mean", "median", "q3"))
-    assert len(calls) == 3 * 4
+    assert sum(scored) == 3 * 4
     vals = [[1.0 - ari(results[a][u], results[b][u]) for u in results[a]] for a, b in ("uv", "uw", "vw")]
     for agg, reduce in (("mean", np.mean), ("median", np.median), ("q3", lambda v: np.percentile(v, 75))):
         assert [mats[agg][0, 1], mats[agg][0, 2], mats[agg][1, 2]] == [float(reduce(v)) for v in vals]
+
+
+def per_pair_dissimilarity(results, aggregators):
+    """The pair-at-a-time loop: one ARI call per pair and shared unit, one
+    reduction per pair and aggregator."""
+    reduce = {"mean": np.mean, "median": np.median, "q3": lambda v: np.percentile(v, 75)}
+    names = list(results)
+    mats = {agg: np.zeros((len(names), len(names))) for agg in aggregators}
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            shared = sorted(set(results[names[i]]) & set(results[names[j]]))
+            vals = [1.0 - adjusted_rand(results[names[i]][u], results[names[j]][u]) for u in shared]
+            for agg, mat in mats.items():
+                mat[i, j] = mat[j, i] = float(reduce[agg](vals))
+    return names, mats
+
+
+def test_method_dissimilarity_equals_the_per_pair_loop_on_ragged_units():
+    rng = np.random.default_rng(5)
+    aggregators = ("mean", "median", "q3")
+    for trial in range(60):
+        n_units = int(rng.integers(1, 41))
+        sizes = rng.integers(2, 30, n_units)
+        # every method has unit 0, so each pair shares at least one
+        results = {}
+        for m in range(int(rng.integers(2, 9))):
+            have = [0, *np.flatnonzero(rng.random(n_units - 1) < 0.7) + 1]
+            labels = {f"d{u}": rng.integers(0, int(rng.integers(1, 5)), sizes[u]) for u in have}
+            if trial % 2:
+                labels = {u: lab.tolist() for u, lab in labels.items()}
+            results[f"m{m}"] = labels
+        names, mats = method_dissimilarity(results, aggregators)
+        ref_names, ref_mats = per_pair_dissimilarity(results, aggregators)
+        assert names == ref_names
+        for agg in aggregators:
+            assert np.array_equal(mats[agg], ref_mats[agg]), (trial, agg)
+
+
+def test_method_dissimilarity_unequal_lengths_in_a_unit():
+    results = {"a": {"d1": [0, 1, 1]}, "b": {"d1": [0, 1, 1]}, "c": {"d1": [0, 1]}}
+    with pytest.raises(LengthMismatchError, match="d1"):
+        method_dissimilarity(results, ["mean"])
 
 
 def test_complete_linkage_hand_example():
@@ -207,12 +311,3 @@ def test_dendrogram_matches_scipy_reference():
         ours = complete_linkage(diss)
         ref = linkage(squareform(diss), method="complete")
         assert np.allclose(sorted(h for _, _, h in ours.merges), sorted(ref[:, 2]))
-
-
-def test_contingency_totals():
-    # cell (i, j) counts the points labeled i in a and j in b
-    table = evaluation.contingency([1, 1, 2], [1, 2, 2])
-    assert table.tolist() == [[0, 0, 0], [0, 1, 1], [0, 0, 1]]
-    assert table.sum() == 3
-    assert table.sum(axis=1).tolist() == [0, 2, 1]
-    assert table.sum(axis=0).tolist() == [0, 1, 2]

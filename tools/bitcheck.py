@@ -1,12 +1,12 @@
 """Compare the incremental evaluators, k-means, EMST, tabu climb,
-``optimise_dataset`` and canonical relabelling of a git revision with the
-working tree's, bit for bit.
+``optimise_dataset``, canonical relabelling, ARI scoring and method
+dissimilarities of a git revision with the working tree's, bit for bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
 Loads ``git show REV:src/cviopt/cvi/evaluators.py``, ``REV:src/cviopt/optim.py``,
-``REV:src/cviopt/geometry.py`` and ``REV:src/cviopt/partition.py`` as
-modules beside the current package (their relative imports resolve to the
+``REV:src/cviopt/geometry.py``, ``REV:src/cviopt/partition.py`` and
+``REV:src/cviopt/evaluation.py`` as modules beside the current package (their relative imports resolve to the
 current package, so only those files are compared: REV's climb keys its
 tabu list with the current ``partition``) and, on fixed seeded datasets,
 compares with ``==``:
@@ -26,7 +26,13 @@ compares with ``==``:
   ``OptimTrace``; the second spec of a pair runs on the first one's
   ``Dataset`` with the same seed, so the working tree reuses its cached
   candidate pool;
-- ``relabel_first_occurrence`` on the test suite's label vectors.
+- ``relabel_first_occurrence`` on the test suite's label vectors;
+- ``adjusted_rand`` on random pairs up to n=2000, with and without
+  ``exclude_noise``: the one-pair call, and every row of a stack of 1-5
+  labelings, against REV's one-pair call;
+- ``method_dissimilarity`` on results where methods lack some units and
+  label vectors are lists or arrays: every cell of the mean, median and q3
+  matrices.
 
 The datasets come from the test suite's generators in
 ``tests/conftest.py``: Gaussian, a coarse integer grid (many tied
@@ -48,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cviopt import geometry, optim, partition
+from cviopt import evaluation, geometry, optim, partition
 from cviopt.cvi import evaluators, parse_spec
 from cviopt.dataio import Dataset, ReferenceSet
 from cviopt.partition import from_labels
@@ -251,6 +257,46 @@ def compare_relabel(old_partition, rng) -> tuple[int, int]:
     return vectors, bad
 
 
+def compare_ari(old_evaluation, rng) -> tuple[int, int]:
+    """(ARIs compared, mismatches) of ``adjusted_rand``: one-pair calls and
+    the rows of stacked calls, each against REV's one-pair call."""
+    values = bad = 0
+    for trial in range(4000):
+        n = int(rng.integers(2, 60 if trial % 4 else 2000))
+        a = rng.integers(0, int(rng.integers(1, 8)), n)
+        stack = rng.integers(0, int(rng.integers(1, 8)), (int(rng.integers(1, 6)), n))
+        noise = bool(trial % 2)
+        a[:2] = 1  # at least two points survive the noise exclusion
+        old = [old_evaluation.adjusted_rand(a, row, exclude_noise=noise) for row in stack]
+        single = [evaluation.adjusted_rand(a, row, exclude_noise=noise) for row in stack]
+        stacked = evaluation.adjusted_rand(a, stack, exclude_noise=noise)
+        values += 2 * len(old)
+        bad += sum(x != y for x, y in zip(old, single)) + sum(x != y for x, y in zip(old, stacked))
+    return values, bad
+
+
+def compare_dissimilarity(old_evaluation, rng) -> tuple[int, int]:
+    """(matrix cells compared, mismatches) of ``method_dissimilarity`` for
+    all three aggregators, on ragged results."""
+    aggregators = ("mean", "median", "q3")
+    cells = bad = 0
+    for trial in range(200):
+        n_units = int(rng.integers(1, 41))
+        sizes = rng.integers(2, 200, n_units)
+        results = {}
+        for m in range(int(rng.integers(2, 13))):
+            # every method has unit 0, so each pair shares one
+            have = [0, *np.flatnonzero(rng.random(n_units - 1) < 0.7) + 1]
+            labels = {f"d{u}": rng.integers(0, int(rng.integers(1, 6)), sizes[u]) for u in have}
+            results[f"m{m}"] = {u: lab.tolist() for u, lab in labels.items()} if trial % 2 else labels
+        _, old = old_evaluation.method_dissimilarity(results, aggregators)
+        _, new = evaluation.method_dissimilarity(results, aggregators)
+        for agg in aggregators:
+            cells += new[agg].size
+            bad += int((old[agg] != new[agg]).sum())
+    return cells, bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
@@ -259,6 +305,7 @@ def main(argv=None) -> int:
     old_optim = load_revision(args.rev, "optim.py", "cviopt")
     old_geometry = load_revision(args.rev, "geometry.py", "cviopt")
     old_partition = load_revision(args.rev, "partition.py", "cviopt")
+    old_evaluation = load_revision(args.rev, "evaluation.py", "cviopt")
     total = total_bad = 0
     for text in SPECS:
         spec = parse_spec(text)
@@ -293,7 +340,11 @@ def main(argv=None) -> int:
     print(f"optimise_dataset {runs} runs, {optimise_bad} mismatches")
     vectors, relabel_bad = compare_relabel(old_partition, np.random.default_rng(4))
     print(f"relabel_first_occurrence {vectors} vectors, {relabel_bad} mismatches")
-    bad = total_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad
+    aris, ari_bad = compare_ari(old_evaluation, np.random.default_rng(6))
+    print(f"adjusted_rand {aris} values, {ari_bad} mismatches")
+    diss_cells, diss_bad = compare_dissimilarity(old_evaluation, np.random.default_rng(7))
+    print(f"method_dissimilarity {diss_cells} cells, {diss_bad} mismatches")
+    bad = total_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad + ari_bad + diss_bad
     return 1 if bad else 0
 
 
