@@ -21,7 +21,8 @@ index's formula to all of them at once; distances to centroids come from
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
-Dataset, distance matrix and NN graph are immutable and shared.
+Dataset, distance matrix, NN graph and edge layouts are immutable and
+shared.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from .. import owa
 from ..dataio import Dataset
-from ..geometry import DistanceProvider, emst, row_blocks
+from ..geometry import DistanceProvider, _read_only, emst, row_blocks
 from ..nngraph import edges_for, knn_for
 from ..partition import Move, Partition, check_move, from_labels
 from . import indices
@@ -384,22 +385,34 @@ def _incidence(u: np.ndarray, v: np.ndarray, n: int):
     return ends[by_point], edge, np.concatenate([v, u])[by_point], starts
 
 
-class _EdgeSplit:
-    """A fixed edge set (u, v, w) split by a labeling into a cross-cluster
-    side (0) and a within-cluster side (1).
+class _EdgeLayout:
+    """The label-independent half of an ``_EdgeSplit``: a fixed edge set
+    (u, v, w) ranked by weight, stably, so equal weights keep distinct
+    ranks, and its ``_incidence``.  Built once per dataset and edge set
+    (``Dataset.cached``) and shared, read-only."""
 
-    The edges are ranked once by weight, stably, so equal weights keep
-    distinct ranks; each side is the sorted array of its ranks, so its
-    extreme weights sit at its ends.  A move of point p flips only p's
-    incident edges from one side to the other.
+    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> None:
+        order = np.argsort(w, kind="stable")
+        self.u, self.v, self.w = (_read_only(a[order]) for a in (u, v, w))
+        incidence = map(_read_only, _incidence(self.u, self.v, n))
+        self.ends, self.ranks, self.opps, self.offsets = incidence
+        self.starts = tuple(self.offsets.tolist())  # Python ints slice fastest
+        self.degree = int(np.diff(self.offsets).max())
+
+
+class _EdgeSplit:
+    """An ``_EdgeLayout`` split by a labeling into a cross-cluster side (0)
+    and a within-cluster side (1).
+
+    Each side is the sorted array of its edges' ranks, so its extreme
+    weights sit at its ends.  A move of point p flips only p's incident
+    edges from one side to the other.
     """
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: np.ndarray) -> None:
-        order = np.argsort(w, kind="stable")
-        self._u, self._v, self._w = u[order], v[order], w[order]
-        self._ends, self._ranks, self._opps, self._offsets = _incidence(self._u, self._v, len(labels))
-        self._starts = self._offsets.tolist()  # Python ints slice fastest
-        self._degree = int(np.diff(self._offsets).max())
+    def __init__(self, layout: _EdgeLayout, labels: np.ndarray) -> None:
+        self._u, self._v, self._w = layout.u, layout.v, layout.w
+        self._ends, self._ranks, self._opps = layout.ends, layout.ranks, layout.opps
+        self._offsets, self._starts, self._degree = layout.offsets, layout.starts, layout.degree
         self._within = labels[self._u] == labels[self._v]
         self._refresh()
 
@@ -574,7 +587,10 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         self._mem: list = [None] * k
         st = self._st = {}
         if "cross" in needs:
-            self._mst = _EdgeSplit(*emst(self.ds), self._labels)
+            layout = self.ds.cached(
+                ("edge-layout", "emst"), lambda: _EdgeLayout(*emst(self.ds), self._n)
+            )
+            self._mst = _EdgeSplit(layout, self._labels)
         for key, shape in (("bsum", (k, k)), ("t", (k, self.ds.d)), ("sdc", k)):
             if key in needs:
                 st[key] = np.zeros(shape)
@@ -823,8 +839,13 @@ class DuNNEvaluator(CVIEvaluator):
     a scan aggregates each side of every move near its extreme."""
 
     def _init_state(self) -> None:
-        edges = edges_for(self.ds, self.spec.m)
-        self._split = _EdgeSplit(edges.u, edges.v, edges.dist, self._labels)
+        ds, M = self.ds, self.spec.m
+
+        def build() -> _EdgeLayout:
+            edges = edges_for(ds, M)
+            return _EdgeLayout(edges.u, edges.v, edges.dist, ds.n)
+
+        self._split = _EdgeSplit(ds.cached(("edge-layout", "knn", M), build), self._labels)
 
     def _full_value(self) -> float:
         split = self._split
@@ -860,9 +881,13 @@ class WCNNEvaluator(CVIEvaluator):
     """Integer count of directed same-cluster NN pairs; exact updates."""
 
     def _init_state(self) -> None:
-        self._nb = knn_for(self.ds, self.spec.m).neighbours
-        n, M = self._nb.shape
-        _, _, self._opp, self._starts = _incidence(np.repeat(np.arange(n), M), self._nb.ravel(), n)
+        nb = self._nb = knn_for(self.ds, self.spec.m).neighbours
+        n, M = nb.shape
+
+        def arcs():  # the other ends and starts of the arcs p -> q, by point
+            return tuple(map(_read_only, _incidence(np.repeat(np.arange(n), M), nb.ravel(), n)[2:]))
+
+        self._opp, self._starts = self.ds.cached(("wcnn-incidence", M), arcs)
         self._count = int((self._labels[self._nb] == self._labels[:, None]).sum())
         self._guard_moves()
 

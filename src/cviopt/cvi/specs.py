@@ -67,12 +67,23 @@ class CVISpec:
 
 
 def parse_spec(text: str) -> CVISpec:
-    """Parse "CalinskiHarabasz", "GDunn_d3_D2", "DuNN_25_SMin:5_Const", "WCNN_25"."""
+    """Parse "CalinskiHarabasz", "GDunn_d3_D2", "DuNN_25_SMin:5_Const", "WCNN_25".
+
+    Only the spelling ``str`` gives back is accepted: "WCNN_05" names the
+    index "WCNN_5" and is refused, so one index never runs under two names.
+    """
+    spec = _parse(text)
+    if str(spec) != text:
+        raise ParameterError(f"bad CVI spec {text!r}: write it as {str(spec)!r}")
+    return spec
+
+
+def _parse(text: str) -> CVISpec:
     parts = text.split("_")
     family = parts[0]
     try:
         if family == "GDunn":
-            if len(parts) != 3 or parts[1][0] != "d" or parts[2][0] != "D":
+            if len(parts) != 3 or not parts[1].startswith("d") or not parts[2].startswith("D"):
                 raise ParameterError(f"bad GDunn spec {text!r}")
             return CVISpec("GDunn", d_variant=int(parts[1][1:]), big_d_variant=int(parts[2][1:]))
         if family == "DuNN":

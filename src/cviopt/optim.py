@@ -13,7 +13,10 @@ A step rates every neighbour at once with the evaluator's ``scan()``, an
 at a time: the first non-tabu one is the move.  ``argmax`` returns the
 first maximal cell, so ties go to the first move in (point, target)
 order, and only the cells ahead of the move are looked up in the tabu
-list.
+list.  The tabu list holds canonical keys; a neighbour's key is the
+current one with the moving point's slot rewritten (a
+:class:`~cviopt.partition.KeyTracker`), unless the move reorders the
+clusters' first points.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     ParameterError,
 )
 from .partition import (
+    KeyTracker,
     Move,
     Partition,
     canonical_key,
@@ -49,7 +53,8 @@ RANDOM_PARTITION_DRAWS = 30_000
 
 
 class TabuList:
-    """Canonical label vectors of partitions the climb has stepped onto."""
+    """The keys (:func:`~cviopt.partition.canonical_key`) of the partitions
+    the climb has stepped onto."""
 
     def __init__(self) -> None:
         self._seen: set[bytes] = set()
@@ -57,11 +62,11 @@ class TabuList:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def __contains__(self, labels: np.ndarray) -> bool:
-        return canonical_key(labels) in self._seen
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._seen
 
-    def add(self, labels: np.ndarray) -> None:
-        self._seen.add(canonical_key(labels))
+    def add(self, key: bytes) -> None:
+        self._seen.add(key)
 
 
 @dataclass
@@ -212,8 +217,8 @@ def _climb(
 
     for cand in candidates:
         ev = make_evaluator(spec, ds, cand)
+        keys = KeyTracker(cand.labels, cand.k)
         patience = 1
-        work = np.empty_like(ev.labels)
         while True:
             # select the best non-tabu single-move neighbour: argmax takes
             # the first in (point, target) order among equal values; NaN
@@ -226,17 +231,17 @@ def _climb(
                 if not vals[cell] > -np.inf:
                     break
                 p, j = divmod(cell, ev.k)
-                np.copyto(work, ev.labels)
-                work[p] = j
-                if work not in tabu:
+                key = keys.moved(p, j)
+                if key not in tabu:
                     chosen = Move(p, int(ev.labels[p]), j)
                     break
                 vals[cell] = -np.inf
             if chosen is None:
                 break  # every neighbour tabu or rated -inf: next candidate
             chosen_value = ev.peek(chosen)
-            tabu.add(work)
+            tabu.add(key)
             ev.commit(chosen)
+            keys.commit(chosen.point, chosen.dst, key)
             trace.steps += 1
             if chosen_value > best_value:
                 best_value = chosen_value

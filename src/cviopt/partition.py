@@ -70,17 +70,71 @@ def relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
     ``labels`` must be a nonempty vector of non-negative integers; values
     that do not occur (gaps) are allowed.
     """
+    return _first_occurrences(labels, int(labels.max()) + 1)[1][labels]
+
+
+def _first_occurrences(labels: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, rank) of the values 0..size-1: the index of each value's
+    first occurrence, n where it does not occur, and its position in the
+    order of first occurrences, the absent values last."""
     n = labels.shape[0]
-    first = np.full(int(labels.max()) + 1, n, dtype=np.int64)
+    first = np.full(size, n, dtype=np.int64)
     np.minimum.at(first, labels, np.arange(n))
     rank = np.empty_like(first)
-    rank[np.argsort(first, kind="stable")] = np.arange(first.shape[0])
-    return rank[labels]
+    rank[np.argsort(first, kind="stable")] = np.arange(size)
+    return first, rank
 
 
 def canonical_key(labels: np.ndarray) -> bytes:
-    """Hashable canonical form of a label vector (permutation-invariant)."""
+    """Hashable canonical form of a label vector (permutation-invariant):
+    the first-occurrence labels as int32 in native byte order."""
     return relabel_first_occurrence(labels).astype(np.int32).tobytes()
+
+
+class KeyTracker:
+    """The ``canonical_key`` of a label vector over 0..k-1 and of its
+    single-point moves, kept in step with the vector as moves are made.
+
+    A move of p to j that leaves every cluster's first point in place
+    leaves their order, and so every other slot of the key, unchanged:
+    its key is the current one with slot p rewritten to j's rank.  Only
+    a move of a cluster's first point, or of a point ahead of j's first,
+    renumbers the labels from scratch.
+    """
+
+    __slots__ = ("key", "_labels", "_k", "_first", "_slots")
+
+    def __init__(self, labels: np.ndarray, k: int) -> None:
+        self._labels = np.array(labels, dtype=np.int64)
+        self._k = k
+        self.key = canonical_key(self._labels)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        first, rank = _first_occurrences(self._labels, self._k)
+        self._first = first.tolist()  # Python ints compare fastest
+        self._slots = [r.tobytes() for r in rank.astype(np.int32)]
+
+    def _renumbers(self, p: int, j: int) -> bool:
+        first = self._first
+        return p == first[self._labels[p]] or p < first[j]
+
+    def moved(self, p: int, j: int) -> bytes:
+        """The key of the labels with point p moved to cluster j."""
+        if self._renumbers(p, j):
+            work = self._labels.copy()
+            work[p] = j
+            return canonical_key(work)
+        at = 4 * p
+        return self.key[:at] + self._slots[j] + self.key[at + 4 :]
+
+    def commit(self, p: int, j: int, key: bytes) -> None:
+        """Move point p to cluster j; ``key`` is ``moved(p, j)``."""
+        renumbers = self._renumbers(p, j)
+        self._labels[p] = j
+        self.key = key
+        if renumbers:
+            self._refresh()
 
 
 def check_move(p_labels: np.ndarray, sizes: np.ndarray, k: int, m: Move) -> None:

@@ -233,7 +233,7 @@ def climb_by_peek(spec, ds, candidates, P):
                 if v > chosen_value:
                     np.copyto(work, ev.labels)
                     work[m.point] = m.dst
-                    if work in tabu:
+                    if partition.canonical_key(work) in tabu:
                         continue
                     chosen = m
                     chosen_value = v
@@ -241,7 +241,7 @@ def climb_by_peek(spec, ds, candidates, P):
                 break
             np.copyto(work, ev.labels)
             work[chosen.point] = chosen.dst
-            tabu.add(work)
+            tabu.add(partition.canonical_key(work))
             ev.commit(chosen)
             trace.steps += 1
             if chosen_value > best_value:

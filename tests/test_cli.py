@@ -354,6 +354,31 @@ def test_cli_optimize_command(tmp_path, capsys):
     assert "objective\t200.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec", ["GDunn__D1", "GDunn_d1_", "WCNN_05"])
+def test_bad_spec_is_one_error_line(tmp_path, capsys, spec):
+    # a malformed or non-canonical spec is a clean error in cvi, optimize
+    # and run's config check, not a traceback
+    data = tmp_path / "d.data"
+    data.write_text("0\n1\n10\n11\n")
+    labels = tmp_path / "d.labels"
+    labels.write_text("1\n1\n2\n2\n")
+    path, _ = make_config(tmp_path, write_battery(tmp_path / "battery"), specs=[spec])
+    for argv in (
+        ["cvi", "--data", str(data), "--labels", str(labels), "--spec", spec, "--raw"],
+        ["optimize", "--data", str(data), "--spec", spec, "--k", "2", "--raw"],
+        ["run", "--config", str(path)],
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(spec) in err
+
+
+def test_run_refuses_a_second_spelling_of_a_spec(tmp_path, capsys):
+    path, _ = make_config(tmp_path, write_battery(tmp_path / "battery"), specs=["WCNN_5", "WCNN_+5"])
+    with pytest.raises(ConfigError, match="'WCNN_5'"):
+        RunConfig.load(str(path))
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.json")])
     assert rc == 1

@@ -17,7 +17,7 @@ from conftest import (
     make_dataset,
     random_surjective_labels,
 )
-from cviopt import cvi, dataio, geometry
+from cviopt import cvi, dataio, geometry, nngraph
 from cviopt.cvi import FAMILIES, evaluators, make_evaluator, parse_spec
 from cviopt.errors import InvalidMoveError
 from cviopt.partition import Move, from_labels
@@ -226,6 +226,51 @@ def test_incidence_groups_as_the_int64_sort(n, edges):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and (a == b).all()
     assert (got[3] == np.searchsorted(ends[by_point], np.arange(n + 1))).all()
+
+
+def test_edge_layouts_are_built_once_per_dataset_and_edge_set(monkeypatch):
+    # evaluators of one dataset and edge set share one read-only layout;
+    # the EMST, each M-NN edge set and each M's NN arcs get their own
+    rng = np.random.default_rng(12)
+    ds = make_dataset(rng, 40, 2)
+    builds = []
+    incidence = evaluators._incidence
+    monkeypatch.setattr(evaluators, "_incidence", lambda *a: builds.append(a) or incidence(*a))
+
+    def make(text):
+        return make_evaluator(parse_spec(text), ds, from_labels(random_surjective_labels(rng, 40, 3), 3))
+
+    def layout(ev):
+        split = getattr(ev, "_split", None) or ev._mst
+        return [split._u, split._v, split._w, split._ends, split._ranks, split._opps, split._offsets]
+
+    dunn = [make("DuNN_5_Min_Const"), make("DuNN_5_SMin:2_Mean"), make("DuNN_5_Mean_Max")]
+    assert len(builds) == 1
+    for ev in dunn[1:]:
+        assert all(a is b for a, b in zip(layout(dunn[0]), layout(ev)))
+        assert ev._split._starts is dunn[0]._split._starts
+    assert not any(a.flags.writeable for a in layout(dunn[0]))
+    other_m, d1, d1_again = make("DuNN_6_Min_Const"), make("GDunn_d1_D1"), make("GDunn_d1_D3")
+    assert len(builds) == 3
+    assert layout(d1)[0] is layout(d1_again)[0]
+    assert not any(a.flags.writeable for a in layout(d1))
+    edge_sets = [dunn[0], other_m, d1]
+    assert len({id(layout(ev)[0]) for ev in edge_sets}) == 3
+    knn = [nngraph.edges_for(ds, M) for M in (5, 6)]
+    for ev, (u, v, w) in zip(edge_sets, [(e.u, e.v, e.dist) for e in knn] + [geometry.emst(ds)]):
+        order = np.argsort(w, kind="stable")
+        assert (layout(ev)[0] == u[order]).all() and (layout(ev)[2] == w[order]).all()
+    wcnn = [make("WCNN_5"), make("WCNN_5"), make("WCNN_6")]
+    assert len(builds) == 5
+    assert wcnn[0]._opp is wcnn[1]._opp and wcnn[0]._opp is not wcnn[2]._opp
+    assert not (wcnn[0]._opp.flags.writeable or wcnn[0]._starts.flags.writeable)
+    # commits of one evaluator leave the others of its layout exact
+    for ev in (dunn[0], d1, wcnn[0]):
+        for _ in range(5):
+            moves = list(iter_moves(ev.labels, ev.sizes, 3))
+            ev.commit(moves[int(rng.integers(len(moves)))])
+    for ev in (dunn[1], dunn[2], d1_again, wcnn[1]):
+        assert ev.value() == pytest.approx(cvi.evaluate(ev.spec, ds, ev.partition()), rel=1e-9)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 12, 25])

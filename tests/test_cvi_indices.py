@@ -50,6 +50,28 @@ def test_spec_parse_roundtrip():
         parse_spec("Sausage")
 
 
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("WCNN_05", "WCNN_5"),
+        ("WCNN_+5", "WCNN_5"),
+        ("WCNN_ 10", "WCNN_10"),
+        ("GDunn_d\u0663_D1", "GDunn_d3_D1"),  # an Arabic-Indic digit three
+        ("DuNN_25_SMin:05_Const", "DuNN_25_SMin:5_Const"),
+    ],
+)
+def test_spec_accepts_only_its_canonical_spelling(text, canonical):
+    with pytest.raises(ParameterError, match=repr(canonical)):
+        parse_spec(text)
+    assert str(parse_spec(canonical)) == canonical
+
+
+@pytest.mark.parametrize("text", ["GDunn__D1", "GDunn_d1_", "GDunn__", "DuNN_5__Min", "WCNN_"])
+def test_spec_with_an_empty_part_is_a_parameter_error(text):
+    with pytest.raises(ParameterError):
+        parse_spec(text)
+
+
 def test_ball_hall(x4):
     assert cvi.ball_hall(x4, from_labels(P22, 2)) == pytest.approx(-0.5)
     # duplicate pairs at identical coordinates: zero dispersion, maximum 0

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_dataset
 from cviopt import dataio, geometry, nngraph, optim
+from cviopt.cvi import make_evaluator, parse_spec
 from cviopt.errors import (
     DataFormatError,
     DataParseError,
@@ -372,15 +373,22 @@ def test_first_calls_from_several_threads_get_one_object(derive):
 def test_cached_data_is_freed_with_its_dataset():
     ds = make_dataset(np.random.default_rng(9), 40, 2)
     pool = optim._generated_candidates(ds, 3, 0, 2, 2, 2, 2)
+    # the evaluators' edge layouts (EMST and M-NN) and WCNN's NN arcs
+    dunn, d1, wcnn = (
+        make_evaluator(parse_spec(s), ds, pool[0]) for s in ("DuNN_3_Min_Max", "GDunn_d1_D1", "WCNN_3")
+    )
     derived = (
         geometry.pairwise(ds),
         geometry.emst(ds)[0],
         nngraph.knn_for(ds, 3),
         nngraph.edges_for(ds, 3),
         pool[0].labels,
+        dunn._split._w,
+        d1._mst._w,
+        wcnn._opp,
     )
     refs = [weakref.ref(obj) for obj in derived]
-    del pool, derived
+    del pool, derived, dunn, d1, wcnn
     assert all(ref() is not None for ref in refs)  # held by the dataset
     enabled = gc.isenabled()
     gc.disable()  # freed by reference counting, not by a cycle collection

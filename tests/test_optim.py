@@ -219,25 +219,28 @@ def test_climb_result_is_local_maximum_and_not_worse_than_candidates():
             assert all(a <= b for a, b in zip(hist, hist[1:]))
 
 
-def test_climb_visits_no_partition_twice():
-    # instrumented rerun of the selection loop: canonical forms of all
-    # committed partitions are pairwise distinct
+def test_climb_visits_no_partition_twice(monkeypatch):
+    # instrumented rerun of the selection loop: the tabu keys are the
+    # canonical forms of the committed partitions, and pairwise distinct
     rng = np.random.default_rng(23)
     ds = make_dataset(rng, 8, 2)
     spec = parse_spec("Silhouette")
 
-    seen = []
-    original_add = TabuList.add
+    seen, committed = [], []
+    original_add, original_commit = TabuList.add, cvi.CVIEvaluator.commit
 
-    def spy(self, labels):
-        seen.append(canonical_key(labels))
-        original_add(self, labels)
+    def spy(self, key):
+        seen.append(key)
+        original_add(self, key)
 
-    TabuList.add = spy
-    try:
-        tabu_hill_climb(spec, ds, [random_partition(8, 2, rng) for _ in range(2)], P=30)
-    finally:
-        TabuList.add = original_add
+    def commit_spy(self, m):
+        original_commit(self, m)
+        committed.append(canonical_key(self.labels))
+
+    monkeypatch.setattr(TabuList, "add", spy)
+    monkeypatch.setattr(cvi.CVIEvaluator, "commit", commit_spy)
+    tabu_hill_climb(spec, ds, [random_partition(8, 2, rng) for _ in range(2)], P=30)
+    assert seen == committed
     assert len(seen) == len(set(seen))
     assert len(seen) > 0
 
@@ -507,7 +510,7 @@ def climb_pick(monkeypatch, labels, table, visited):
     ``visited`` already tabu; None when it makes none."""
     tabu = TabuList()
     for lab in visited:
-        tabu.add(lab)
+        tabu.add(canonical_key(lab))
     monkeypatch.setattr(optim, "TabuList", lambda: tabu)
     monkeypatch.setattr(optim, "make_evaluator", lambda spec, ds, cand: TableEvaluator(cand, table))
     part = from_labels(labels, table.shape[1])

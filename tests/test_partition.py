@@ -10,6 +10,7 @@ from conftest import (
     apply_move,
     canonicalize,
     enumerate_moves,
+    iter_moves,
     random_surjective_labels,
     relabel_vectors,
 )
@@ -154,3 +155,33 @@ def test_moves_preserve_validity(k, data):
         assert q.labels[m.point] == m.dst
         diff = np.flatnonzero(q.labels != p.labels)
         assert diff.tolist() == [m.point]
+
+
+def test_key_tracker_matches_canonical_key():
+    # along random walks of commits, the keys of up to 60 valid moves and
+    # the key after each commit equal canonical_key of the labels, for k
+    # up to n; both renumbering cases and the one-slot edit all occur
+    rng = np.random.default_rng(31)
+    cases = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 14)) if trial % 10 else 200
+        k = int(rng.integers(2, n + 1)) if trial % 3 else max(2, n - int(rng.integers(0, 3)))
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        keys = partition.KeyTracker(labels, k)
+        assert keys.key == partition.canonical_key(labels)
+        for _ in range(8):
+            moves = list(iter_moves(labels, np.bincount(labels, minlength=k), k))
+            if not moves:
+                break
+            first = [int(np.flatnonzero(labels == c)[0]) for c in range(k)]
+            for i in rng.permutation(len(moves))[:60]:
+                m = moves[i]
+                work = labels.copy()
+                work[m.point] = m.dst
+                assert keys.moved(m.point, m.dst) == partition.canonical_key(work)
+                cases.add((m.point == first[m.src], m.point < first[m.dst]))
+            m = moves[int(rng.integers(len(moves)))]
+            keys.commit(m.point, m.dst, keys.moved(m.point, m.dst))
+            labels[m.point] = m.dst
+            assert keys.key == partition.canonical_key(labels)
+    assert cases == {(False, False), (True, False), (False, True), (True, True)}

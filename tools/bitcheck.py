@@ -1,6 +1,6 @@
 """Compare the incremental evaluators, k-means, EMST, tabu climb,
-``optimise_dataset``, canonical relabelling, ARI scoring and method
-dissimilarities of a git revision with the working tree's, bit for bit.
+``optimise_dataset``, canonical relabelling, tabu keys, ARI scoring and
+method dissimilarities of a git revision with the working tree's, bit for bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
@@ -27,6 +27,9 @@ compares with ``==``:
   ``Dataset`` with the same seed, so the working tree reuses its cached
   candidate pool;
 - ``relabel_first_occurrence`` on the test suite's label vectors;
+- ``partition.KeyTracker`` against REV's ``canonical_key`` along random
+  walks of moves, k up to n: the keys of spread-out valid moves, and the
+  key after each commit;
 - ``adjusted_rand`` on random pairs up to n=2000, with and without
   ``exclude_noise``: the one-pair call, and every row of a stack of 1-5
   labelings, against REV's one-pair call;
@@ -257,6 +260,33 @@ def compare_relabel(old_partition, rng) -> tuple[int, int]:
     return vectors, bad
 
 
+def compare_keys(old_partition, rng) -> tuple[int, int]:
+    """(keys compared, mismatches) of ``KeyTracker`` with REV's
+    ``canonical_key``: about 50 valid moves per step and the key after
+    each commit, along random walks."""
+    keys = bad = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 40)) if trial % 10 else 500
+        k = int(rng.integers(2, min(n, 40 if trial % 10 else 8) + 1))
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        tracker = partition.KeyTracker(labels, k)
+        for _ in range(20):
+            keys += 1
+            bad += tracker.key != old_partition.canonical_key(labels)
+            moves = list(iter_moves(labels, np.bincount(labels, minlength=k), k))
+            if not moves:
+                break
+            for m in moves[:: max(1, len(moves) // 50)]:
+                work = labels.copy()
+                work[m.point] = m.dst
+                keys += 1
+                bad += tracker.moved(m.point, m.dst) != old_partition.canonical_key(work)
+            m = moves[int(rng.integers(len(moves)))]
+            tracker.commit(m.point, m.dst, tracker.moved(m.point, m.dst))
+            labels[m.point] = m.dst
+    return keys, bad
+
+
 def compare_ari(old_evaluation, rng) -> tuple[int, int]:
     """(ARIs compared, mismatches) of ``adjusted_rand``: one-pair calls and
     the rows of stacked calls, each against REV's one-pair call."""
@@ -340,11 +370,16 @@ def main(argv=None) -> int:
     print(f"optimise_dataset {runs} runs, {optimise_bad} mismatches")
     vectors, relabel_bad = compare_relabel(old_partition, np.random.default_rng(4))
     print(f"relabel_first_occurrence {vectors} vectors, {relabel_bad} mismatches")
+    keys, keys_bad = compare_keys(old_partition, np.random.default_rng(8))
+    print(f"keys {keys} keys, {keys_bad} mismatches")
     aris, ari_bad = compare_ari(old_evaluation, np.random.default_rng(6))
     print(f"adjusted_rand {aris} values, {ari_bad} mismatches")
     diss_cells, diss_bad = compare_dissimilarity(old_evaluation, np.random.default_rng(7))
     print(f"method_dissimilarity {diss_cells} cells, {diss_bad} mismatches")
-    bad = total_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad + ari_bad + diss_bad
+    bad = (
+        total_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad + keys_bad
+        + ari_bad + diss_bad
+    )
     return 1 if bad else 0
 
 
