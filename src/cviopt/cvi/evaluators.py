@@ -13,11 +13,14 @@ until the next commit, and ``peek`` and ``commit`` read their move's cell
 from it, or, with no table, one cell of a one-point scan.  Silhouette,
 SilhouetteW, DaviesBouldin and GDunn scan in row blocks of at most
 ``geometry._BLOCK_CELLS`` cells.  The silhouettes build per-column vectors
-once per (source, target) pair, so a cell takes a few in-place passes.
-DaviesBouldin and the 15 GDunn variants share one scan, which builds the
-post-move per-cluster statistics of a block of moves and applies the
-index's formula to all of them at once; distances to centroids come from
-``cdist``, which adds the squares in the order ``_dist`` does.
+once per (source, target) pair, so a cell takes a few in-place passes; at
+k = 2 a cell is the signed gap of two tables, one per cluster, in work
+blocks the evaluator keeps from scan to scan.  DaviesBouldin and the 15
+GDunn variants share one scan: per target it first sums the target's
+post-move spread for every move, then builds the post-move per-cluster
+statistics of a block of moves and applies the index's formula to all of
+them at once; distances to centroids come from ``cdist``, which adds the
+squares in the order ``_dist`` does.
 
 Evaluators assume distinct points (the preprocessing jitter guarantees
 this); they are single-threaded mutable state, while the underlying
@@ -228,6 +231,11 @@ class SilhouetteEvaluator(CVIEvaluator):
         self._dp = DistanceProvider(self.ds)
         self._dsum = self._dp.cluster_sums(self._labels, self._k)
         self._means()
+        # _scan's row blocks: 4 work blocks, and at k = 2 the 5 vectors of
+        # _columns tiled to a block; kept from scan to scan, as the heap
+        # hands a fresh array this large back to the kernel when it is
+        # freed, and its pages then fault in again on every scan
+        self._work = np.empty((9 if self._k == 2 else 4, 0, self._n))
 
     def _means(self) -> None:
         """Each point's mean distances to the clusters, inf at its own
@@ -265,17 +273,28 @@ class SilhouetteEvaluator(CVIEvaluator):
         # q's intra mean becomes (own + sign * d) / size, and its nearest
         # mean the least of a's changed mean (unless q is in a), j's (unless
         # q is in j) and rest, from the per-column vectors of _columns.
-        # Each cell takes a few in-place passes over the block; post-move
-        # singleton columns score 0, and p's own column (p sits in j) is
-        # scored apart.
+        # With no third cluster (k = 2), q's two means are one table each,
+        # A = (dsum[:, a] - d) / c_a and B = (dsum[:, j] + d) / c_b, and
+        # its term is +-(B - A) / max(A, B): +1 in a, -1 in j, the same
+        # bits, as round-to-nearest subtraction is sign-symmetric; B is
+        # built in the block's own copy of the rows, and the per-column
+        # vectors are tiled to the block's shape, as a ufunc loops over the
+        # rows of a broadcast operand one by one.  Each cell takes a few
+        # in-place passes over the block; post-move singleton columns score
+        # 0, and p's own column (p sits in j) is scored apart.
         n, lab, sizes, dsum = self._n, self._labels, self._sizes, self._dsum
         src = lab[points]
         out = np.full((len(points), self._k), -_INF)
         for a in np.unique(src[sizes[src] >= 2]).tolist():
             to_a = np.where(lab == a, np.inf, dsum[:, a])
-            cols = {j: self._columns(a, j) for j in targets if j != a}
             blocks = row_blocks(np.flatnonzero(src == a), n)
-            buf = np.empty((4, len(blocks[0]), n))
+            cols = {j: self._columns(a, j) for j in targets if j != a}
+            if self._work.shape[1] < len(blocks[0]):
+                self._work = np.empty((len(self._work), len(blocks[0]), n))
+            buf, tiles = np.split(self._work[:, : len(blocks[0])], [4])
+            if self._k == 2:
+                for terms, *_ in cols.values():  # the one target's
+                    tiles[:] = terms[:, None]
             for rows in blocks:
                 block = points[rows]
                 rr = np.arange(len(block))
@@ -283,23 +302,36 @@ class SilhouetteEvaluator(CVIEvaluator):
                 away, intra, near, den = buf[:, : len(block)]
                 to_p = dist[rr, block]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    # a's changed mean, inf in a's columns
-                    np.subtract(to_a, dist, out=away)
-                    away /= sizes[a] - 1
                     away_p = (dsum[block, a] - to_p) / (sizes[a] - 1)
-                    for j, (sign, own, size, to_j, rest, single, n_own, effective) in cols.items():
+                    if self._k > 2:  # a's changed mean, inf in a's columns
+                        np.subtract(to_a, dist, out=away)
+                        away /= sizes[a] - 1
+                    for j, (terms, single, n_own, effective) in cols.items():
                         if self.weighted and effective < 1:
                             continue
-                        np.multiply(dist, sign, out=intra)
-                        intra += own
-                        intra /= size
-                        np.add(to_j, dist, out=near)
-                        near /= sizes[j] + 1
-                        np.minimum(away, near, out=near)
-                        if rest is not None:
+                        if self._k == 2:
+                            sum_a, sum_j, c_a, c_b, sgn = tiles[:, : len(block)]
+                            np.subtract(sum_a, dist, out=intra)
+                            intra /= c_a
+                            near = dist
+                            near += sum_j
+                            near /= c_b
+                            np.maximum(intra, near, out=den)
+                            near -= intra
+                            near *= sgn
+                            near_p = away_p
+                        else:
+                            sign, own, size, to_j, rest = terms
+                            np.multiply(dist, sign, out=intra)
+                            intra += own
+                            intra /= size
+                            np.add(to_j, dist, out=near)
+                            near /= sizes[j] + 1
+                            np.minimum(away, near, out=near)
                             np.minimum(near, rest, out=near)
-                        np.maximum(intra, near, out=den)
-                        near -= intra
+                            np.maximum(intra, near, out=den)
+                            near -= intra
+                            near_p = np.minimum(away_p, rest[block])
                         # 0 where den <= 0 (duplicate points) or NaN: rare,
                         # so patched after a plain divide, which is several
                         # times faster than one with where=
@@ -310,7 +342,6 @@ class SilhouetteEvaluator(CVIEvaluator):
                         if len(single):
                             s[:, single] = 0.0
                         intra_p = (dsum[block, j] + to_p) / sizes[j]
-                        near_p = away_p if rest is None else np.minimum(away_p, rest[block])
                         den_p = np.maximum(intra_p, near_p)
                         s[rr, block] = s_p = np.where(den_p > 0.0, (near_p - intra_p) / den_p, 0.0)
                         if not self.weighted:
@@ -322,25 +353,36 @@ class SilhouetteEvaluator(CVIEvaluator):
         return out
 
     def _columns(self, a: int, j: int) -> tuple:
-        """Per-column vectors of the moves a -> j: each point's intra sum
-        ``own``, its ``sign`` in the move and the ``size`` it is divided by;
-        its sum to j, inf for j's members; ``rest``, its least mean over the
-        clusters other than a, j and its own (None for k = 2); the post-move
-        singleton columns and cluster sizes; and the count of clusters that
-        are not singletons after the move."""
+        """Per-column vectors of the moves a -> j, then the post-move
+        singleton columns and cluster sizes, and the count of clusters that
+        are not singletons after the move.  For k = 2 the vectors are the
+        rows of a (5, n) array: dsum's columns a and j, the divisors of the
+        two tables (a's members leave one more point in a and join one more
+        in j) and the sign of the term.  For k > 2 they are each point's
+        intra sum ``own``, its ``sign`` in the move and the ``size`` it is
+        divided by; its sum to j, inf for j's members; and ``rest``, its
+        least mean over the clusters other than a, j and its own."""
         lab, sizes, dsum = self._labels, self._sizes, self._dsum
         in_a, in_j = lab == a, lab == j
-        others = [c for c in range(self._k) if c not in (a, j)]
         sizes2 = sizes.copy()
         sizes2[a] -= 1
         sizes2[j] += 1
         n_own = sizes2[lab]
+        if self._k == 2:
+            terms = np.array(
+                [dsum[:, a], dsum[:, j], sizes[a] - 1 - in_a, sizes[j] + in_a, np.where(in_a, 1.0, -1.0)]
+            )
+        else:
+            others = [c for c in range(self._k) if c not in (a, j)]
+            terms = (
+                in_j - in_a.astype(np.float64),
+                np.where(in_a, dsum[:, a], np.where(in_j, dsum[:, j], self._intra)),
+                np.where(in_a, sizes[a] - 2, np.where(in_j, sizes[j], 1)).astype(np.float64),
+                np.where(in_j, np.inf, dsum[:, j]),
+                self._mean_to.T[others].min(axis=0),
+            )
         return (
-            in_j - in_a.astype(np.float64),
-            np.where(in_a, dsum[:, a], np.where(in_j, dsum[:, j], self._intra)),
-            np.where(in_a, sizes[a] - 2, np.where(in_j, sizes[j], 1)).astype(np.float64),
-            np.where(in_j, np.inf, dsum[:, j]),
-            self._mean_to.T[others].min(axis=0) if others else None,
+            terms,
             np.flatnonzero(n_own == 1),
             n_own.astype(np.float64),
             self._k - int((sizes2 == 1).sum()),
@@ -691,7 +733,9 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         # target j at a time, from _leave's part of a; p joins j with its
         # point, its distance sums and its farthest points (a block (j, i)
         # can only grow, to p's farthest point in i; d(p, p) = 0, so the
-        # pre-move member sets give the same maxima)
+        # pre-move member sets give the same maxima).  j's spread after
+        # each move is summed first, in blocks of its members' distances,
+        # so that the formula takes blocks of the k x (k + d) statistics
         k, st, mem = self._k, self._st, self._mem
         src = self._labels[points]
         movable = np.flatnonzero(self._sizes[src] >= 2)
@@ -699,9 +743,20 @@ class _ClusterStatsEvaluator(CVIEvaluator):
         left = self._leave(p, a)
         sizes = self._sizes.astype(np.float64)
         out = np.full((len(points), k), -_INF)
+        joined = np.empty(len(p))
         for j in targets:
-            width = k * (k + self.ds.d) + (len(mem[j]) + 1 if "sdc" in st else 0)
-            for r in row_blocks(np.flatnonzero(a != j), width):
+            moves = np.flatnonzero(a != j)
+            if "sdc" in st:
+                # the members' distances to j's post-move centroids, then p's own
+                m = len(mem[j])
+                for r in row_blocks(moves, m + 1):
+                    x = self._pts[p[r]]
+                    cents = (st["t"][j] + x) / (m + 1)
+                    dist = np.empty((len(r), m + 1))
+                    dist[:, :m] = cdist(cents, self._pts[mem[j]])
+                    dist[:, m] = _dist(x, cents)
+                    joined[r] = dist.sum(axis=1)
+            for r in row_blocks(moves, k * (k + self.ds.d)):
                 rr, x = np.arange(len(r)), self._pts[p[r]]
                 moved, sizes2 = {}, _stack(sizes, len(r))
                 sizes2[rr, a[r]] -= 1
@@ -713,16 +768,9 @@ class _ClusterStatsEvaluator(CVIEvaluator):
                     t[rr, a[r]] -= x
                     t[:, j] += x
                 if "sdc" in st:
-                    # the members' distances to j's post-move centroids,
-                    # then p's own
-                    m = len(mem[j])
-                    cents = (st["t"][j] + x) / (m + 1)
-                    dist = np.empty((len(r), m + 1))
-                    dist[:, :m] = cdist(cents, self._pts[mem[j]])
-                    dist[:, m] = _dist(x, cents)
                     sdc = moved["sdc"] = _stack(st["sdc"], len(r))
                     sdc[rr, a[r]] = left["sdc"][r]
-                    sdc[:, j] = dist.sum(axis=1)
+                    sdc[:, j] = joined[r]
                 if "bsum" in st:
                     # as p's distance sums leave a and join j, in this order
                     row, old = left["bsum"][r], st["bsum"]

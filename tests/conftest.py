@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 
 from cviopt import dataio, geometry, optim, partition
 from cviopt.cvi import evaluate, make_evaluator
+from cviopt.errors import GenerationError
 
 
 @pytest.fixture
@@ -31,10 +32,15 @@ def make_dataset(rng: np.random.Generator, n: int, d: int) -> dataio.Dataset:
 
 
 def random_surjective_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    while True:
+    """Labels i.i.d. uniform on 0..k-1, drawn again until surjective; gives
+    up after ``optim.RANDOM_PARTITION_DRAWS`` draws, as
+    ``optim.random_partition`` does, since a draw is surjective with a
+    vanishing probability as k nears n."""
+    for _ in range(optim.RANDOM_PARTITION_DRAWS):
         labels = rng.integers(0, k, size=n)
         if np.bincount(labels, minlength=k).min() > 0:
             return labels
+    raise GenerationError(f"no surjective random {k}-labeling of {n} points")
 
 
 def coarse_grid(rng, n, d):

@@ -79,6 +79,14 @@ def test_random_partition_gives_up_when_k_nears_n():
     assert time.perf_counter() - t0 < 30.0
 
 
+def test_random_surjective_labels_gives_up_when_k_nears_n():
+    # the helper the oracle tests draw their labelings from is bounded too
+    t0 = time.perf_counter()
+    with pytest.raises(GenerationError):
+        random_surjective_labels(np.random.default_rng(0), 200, 199)
+    assert time.perf_counter() - t0 < 30.0
+
+
 def test_vantage_point_recovers_centers(x4):
     # V=1 and pivots near the two true centers: nearest-pivot assignment
     # recovers the reference; with a fixed seed the call is deterministic

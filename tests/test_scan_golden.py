@@ -4,7 +4,8 @@ Most evaluators read ``peek`` as a cell of their ``scan``, so comparing
 the two checks a formula against itself; this table pins the bits of
 every move formula instead, at d = 2 and at d >= 8 (where sums over the
 coordinates may be added in another order), also from starts that hold a
-singleton and a two-member cluster.  ``tests/data/scan_golden.json``
+singleton and a two-member cluster, and at k = 2 from an equal start and
+one with a two-member cluster.  ``tests/data/scan_golden.json``
 holds ``float.hex`` of each cell; regenerate it, only for a deliberate
 change of the numbers, with ``PYTHONPATH=src python tests/test_scan_golden.py``.
 """
@@ -47,6 +48,11 @@ CASES = [(1, 12, 2, 3), (2, 11, 9, 2), (3, 12, 12, 4)]
 SMALL_SPECS = ["Silhouette", "SilhouetteW", "DaviesBouldin", "GDunn_d4_D3", "GDunn_d5_D3"]
 SMALL_CASES = [(4, 12, 2), (5, 12, 9)]
 SMALL_SIZES = (1, 2, 3, 3, 3)
+# the same specs at k = 2 and d = 2, on (seed, n, d) datasets with an equal
+# start and a shuffled one of sizes PAIR_SIZES: a move out of the pair
+# leaves a singleton
+PAIR_CASES = [(6, 12, 2)]
+PAIR_SIZES = (2, 10)
 COMMITS = 2
 
 
@@ -74,12 +80,12 @@ def key(text: str, case) -> str:
     return f"{text} seed={case[0]} n={case[1]} d={case[2]} k={case[3]}"
 
 
-def small_key(text: str, case) -> str:
-    return f"{text} seed={case[0]} n={case[1]} d={case[2]} sizes={','.join(map(str, SMALL_SIZES))}"
+def small_key(text: str, case, sizes=SMALL_SIZES) -> str:
+    return f"{text} seed={case[0]} n={case[1]} d={case[2]} sizes={','.join(map(str, sizes))}"
 
 
-def small_scans(text: str, case) -> list[str]:
-    return scans(text, *case, len(SMALL_SIZES), SMALL_SIZES)
+def small_scans(text: str, case, sizes=SMALL_SIZES) -> list[str]:
+    return scans(text, *case, len(sizes), sizes)
 
 
 @pytest.mark.parametrize("text", SPECS)
@@ -96,8 +102,21 @@ def test_scan_values_with_small_clusters_match_the_golden_table(text):
         assert small_scans(text, case) == table[small_key(text, case)], small_key(text, case)
 
 
+@pytest.mark.parametrize("text", SMALL_SPECS)
+def test_scan_values_at_k_2_match_the_golden_table(text):
+    table = json.loads(TABLE.read_text())
+    for case in PAIR_CASES:
+        assert scans(text, *case, 2) == table[key(text, (*case, 2))], key(text, (*case, 2))
+        pair = small_key(text, case, PAIR_SIZES)
+        assert small_scans(text, case, PAIR_SIZES) == table[pair], pair
+
+
 if __name__ == "__main__":
     TABLE.parent.mkdir(exist_ok=True)
     table = {key(t, c): scans(t, *c) for t in SPECS for c in CASES}
     table |= {small_key(t, c): small_scans(t, c) for t in SMALL_SPECS for c in SMALL_CASES}
+    for t in SMALL_SPECS:
+        for c in PAIR_CASES:
+            table[key(t, (*c, 2))] = scans(t, *c, 2)
+            table[small_key(t, c, PAIR_SIZES)] = small_scans(t, c, PAIR_SIZES)
     TABLE.write_text(json.dumps(table, indent=0) + "\n")

@@ -203,6 +203,7 @@ CLIMB_SPECS = [
     "Silhouette",
     "SilhouetteW",
     "DaviesBouldin",
+    "GDunn_d5_D3",
 ]
 CLIMB_PATIENCES = (1, 5, 30)
 
