@@ -112,8 +112,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 0")
         if cfg.n_vantage > 0 and cfg.vantage_v < 1:
             raise ConfigError("vantage_v must be >= 1 when n_vantage > 0")
-        if not os.path.isdir(cfg.battery_root):
-            raise ConfigError(f"battery root {cfg.battery_root!r} is not a directory")
+        for key, root in (("battery_root", cfg.battery_root), ("candidate_root", cfg.candidate_root)):
+            if root is not None and not os.path.isdir(root):
+                raise ConfigError(f"{key} {root!r} is not a directory")
         if not cfg.specs:
             raise ConfigError("specs must name at least one spec")
         twice = sorted({s for s in cfg.specs if cfg.specs.count(s) > 1})
@@ -123,7 +124,7 @@ class RunConfig:
             try:
                 parse_spec(s)
             except CviOptError as exc:
-                raise ConfigError(f"bad spec {s!r}: {exc}") from exc
+                raise ConfigError(f"specs: {exc}") from exc  # exc names s
         return cfg
 
 
@@ -248,22 +249,12 @@ def run_job(cfg: RunConfig, dataset_id: str, spec_str: str, done: set, setups: d
         if cfg.min_component_policy:
             smallest = _nn_component_minimum(ds, spec.m)
             if smallest < spec.m + 1:
-                return [
-                    row(
-                        k="",
-                        status="skipped",
-                        message=(
-                            f"{spec.m}-NN graph has a component of size "
-                            f"{smallest} < M+1"
-                        ),
-                    )
-                ]
+                message = f"{spec.m}-NN graph has a component of size {smallest} < M+1"
+                return [row(k="", status="skipped", message=message)]
 
-    candidate_dirs = []
-    if cfg.candidate_root:
-        cand_dir = os.path.join(cfg.candidate_root, dataset_id)
-        if os.path.isdir(cand_dir):
-            candidate_dirs.append(cand_dir)
+    # RunConfig.load checked candidate_root; a dataset may have no directory in it
+    cand_dirs = [os.path.join(cfg.candidate_root, dataset_id)] if cfg.candidate_root else []
+    candidate_dirs = [d for d in cand_dirs if os.path.isdir(d)]
 
     for k in refs.distinct_cardinalities():
         if (dataset_id, spec_str, str(k)) in done:
@@ -370,6 +361,10 @@ def run_benchmark(cfg: RunConfig) -> tuple[list[dict], int]:
     new ones.  The file is sorted once, at the end.
     """
     datasets = discover_datasets(cfg.battery_root)
+    for key in ("include", "exclude"):
+        unknown = sorted(set(getattr(cfg, key)) - set(datasets))
+        if unknown:
+            raise ConfigError(f"{key} names no dataset under {cfg.battery_root!r}: {unknown}")
     if cfg.include:
         datasets = [d for d in datasets if d in set(cfg.include)]
     if cfg.exclude:

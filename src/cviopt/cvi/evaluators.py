@@ -971,28 +971,22 @@ class WCNNEvaluator(CVIEvaluator):
         return np.where(self._guard[src], -_INF, (self._count + delta) / (self._n * self.spec.m))
 
 
-#: family -> (definitional function of (spec, ds, p), evaluator class)
+#: family -> (definitional function of (ds, p, *spec.params()), evaluator class)
 FAMILY_TABLE = {
-    "BallHall": (lambda s, ds, p: indices.ball_hall(ds, p), BallHallEvaluator),
-    "CalinskiHarabasz": (
-        lambda s, ds, p: indices.calinski_harabasz(ds, p),
-        CalinskiHarabaszEvaluator,
-    ),
-    "DaviesBouldin": (lambda s, ds, p: indices.davies_bouldin(ds, p), DaviesBouldinEvaluator),
-    "Silhouette": (lambda s, ds, p: indices.silhouette(ds, p), SilhouetteEvaluator),
-    "SilhouetteW": (lambda s, ds, p: indices.silhouette_w(ds, p), SilhouetteWEvaluator),
-    "GDunn": (
-        lambda s, ds, p: indices.gdunn(ds, p, s.d_variant, s.big_d_variant),
-        GDunnEvaluator,
-    ),
-    "DuNN": (lambda s, ds, p: indices.dunn_nn(ds, p, s.m, s.owa_s, s.owa_c), DuNNEvaluator),
-    "WCNN": (lambda s, ds, p: indices.wcnn(ds, p, s.m), WCNNEvaluator),
+    "BallHall": (indices.ball_hall, BallHallEvaluator),
+    "CalinskiHarabasz": (indices.calinski_harabasz, CalinskiHarabaszEvaluator),
+    "DaviesBouldin": (indices.davies_bouldin, DaviesBouldinEvaluator),
+    "Silhouette": (indices.silhouette, SilhouetteEvaluator),
+    "SilhouetteW": (indices.silhouette_w, SilhouetteWEvaluator),
+    "GDunn": (indices.gdunn, GDunnEvaluator),
+    "DuNN": (indices.dunn_nn, DuNNEvaluator),
+    "WCNN": (indices.wcnn, WCNNEvaluator),
 }
 
 
 def evaluate(spec: CVISpec, ds: Dataset, p: Partition) -> float:
     """Full (definitional) evaluation of ``spec`` on (ds, p)."""
-    return FAMILY_TABLE[spec.family][0](spec, ds, p)
+    return FAMILY_TABLE[spec.family][0](ds, p, *spec.params())
 
 
 def make_evaluator(spec: CVISpec, ds: Dataset, p: Partition) -> CVIEvaluator:

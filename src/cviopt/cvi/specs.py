@@ -1,22 +1,30 @@
-"""Cluster validity index specifications and their string syntax."""
+"""Cluster validity index specifications and their string syntax.
+
+``PARAMS`` declares each family's parameters once, in spec-string order, as
+(``CVISpec`` field, prefix in the string, parser of the rest).  The family
+list, ``str``, ``parse_spec``, the check that a spec sets exactly its
+family's fields, and ``params()``, the arguments of the family's
+:mod:`cviopt.cvi.indices` function, all read it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..errors import ParameterError
 from ..owa import OWASpec
 
-FAMILIES = (
-    "BallHall",
-    "CalinskiHarabasz",
-    "DaviesBouldin",
-    "Silhouette",
-    "SilhouetteW",
-    "GDunn",
-    "DuNN",
-    "WCNN",
-)
+PARAMS = {
+    "BallHall": (),
+    "CalinskiHarabasz": (),
+    "DaviesBouldin": (),
+    "Silhouette": (),
+    "SilhouetteW": (),
+    "GDunn": (("d_variant", "d", int), ("big_d_variant", "D", int)),
+    "DuNN": (("m", "", int), ("owa_s", "", OWASpec.parse), ("owa_c", "", OWASpec.parse)),
+    "WCNN": (("m", "", int),),
+}
+FAMILIES = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -35,35 +43,30 @@ class CVISpec:
     owa_c: OWASpec | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in PARAMS:
             raise ParameterError(f"unknown CVI family {self.family!r}")
-        if self.family == "GDunn":
-            if self.d_variant not in (1, 2, 3, 4, 5):
-                raise ParameterError("GDunn needs a separation variant d1..d5")
-            if self.big_d_variant not in (1, 2, 3):
-                raise ParameterError("GDunn needs a compactness variant D1..D3")
-        if self.family == "DuNN":
-            if self.m is None or self.m < 1:
-                raise ParameterError("DuNN needs a neighbour count M >= 1")
-            if self.owa_s is None or self.owa_c is None:
-                raise ParameterError("DuNN needs both OWA operators")
-            if self.owa_s.is_const:
-                raise ParameterError("the separation OWA cannot be Const")
-        if self.family == "WCNN" and (self.m is None or self.m < 1):
-            raise ParameterError("WCNN needs a neighbour count M >= 1")
+        declared = [name for name, _, _ in PARAMS[self.family]]
+        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) is not None]
+        if set(given) != set(declared):
+            raise ParameterError(f"{self.family} takes {declared or 'no parameters'}, not {given}")
+        if self.d_variant not in (None, 1, 2, 3, 4, 5) or self.big_d_variant not in (None, 1, 2, 3):
+            raise ParameterError("GDunn needs variants d1..d5 and D1..D3")
+        if self.m is not None and self.m < 1:
+            raise ParameterError(f"{self.family} needs a neighbour count M >= 1")
+        if self.owa_s is not None and self.owa_s.is_const:
+            raise ParameterError("the separation OWA cannot be Const")
 
     @property
     def needs_knn(self) -> bool:
-        return self.family in ("DuNN", "WCNN")
+        return self.m is not None  # only the M-NN families declare m
+
+    def params(self) -> tuple:
+        """The parameter values in spec-string order, as ``indices`` takes them."""
+        return tuple(getattr(self, name) for name, _, _ in PARAMS[self.family])
 
     def __str__(self) -> str:
-        if self.family == "GDunn":
-            return f"GDunn_d{self.d_variant}_D{self.big_d_variant}"
-        if self.family == "DuNN":
-            return f"DuNN_{self.m}_{self.owa_s}_{self.owa_c}"
-        if self.family == "WCNN":
-            return f"WCNN_{self.m}"
-        return self.family
+        parts = (f"{prefix}{getattr(self, name)}" for name, prefix, _ in PARAMS[self.family])
+        return "_".join((self.family, *parts))
 
 
 def parse_spec(text: str) -> CVISpec:
@@ -72,35 +75,19 @@ def parse_spec(text: str) -> CVISpec:
     Only the spelling ``str`` gives back is accepted: "WCNN_05" names the
     index "WCNN_5" and is refused, so one index never runs under two names.
     """
-    spec = _parse(text)
+    family, *parts = text.split("_")
+    if family not in PARAMS:
+        raise ParameterError(f"unknown CVI spec {text!r}")
+    params = PARAMS[family]
+    prefixes = [prefix for _, prefix, _ in params]
+    if len(parts) != len(params) or not all(map(str.startswith, parts, prefixes)):
+        form = "_".join((family, *(f"{prefix}<{name}>" for name, prefix, _ in params)))
+        raise ParameterError(f"bad CVI spec {text!r}: expected {form}")
+    try:
+        values = {name: parse(part[len(pre):]) for part, (name, pre, parse) in zip(parts, params)}
+        spec = CVISpec(family, **values)
+    except ValueError as exc:  # ParameterError is a ValueError
+        raise ParameterError(f"bad CVI spec {text!r}: {exc}") from exc
     if str(spec) != text:
         raise ParameterError(f"bad CVI spec {text!r}: write it as {str(spec)!r}")
     return spec
-
-
-def _parse(text: str) -> CVISpec:
-    parts = text.split("_")
-    family = parts[0]
-    try:
-        if family == "GDunn":
-            if len(parts) != 3 or not parts[1].startswith("d") or not parts[2].startswith("D"):
-                raise ParameterError(f"bad GDunn spec {text!r}")
-            return CVISpec("GDunn", d_variant=int(parts[1][1:]), big_d_variant=int(parts[2][1:]))
-        if family == "DuNN":
-            if len(parts) != 4:
-                raise ParameterError(f"bad DuNN spec {text!r}")
-            return CVISpec(
-                "DuNN",
-                m=int(parts[1]),
-                owa_s=OWASpec.parse(parts[2]),
-                owa_c=OWASpec.parse(parts[3]),
-            )
-        if family == "WCNN":
-            if len(parts) != 2:
-                raise ParameterError(f"bad WCNN spec {text!r}")
-            return CVISpec("WCNN", m=int(parts[1]))
-        if len(parts) == 1 and family in FAMILIES:
-            return CVISpec(family)
-    except ValueError as exc:
-        raise ParameterError(f"bad CVI spec {text!r}") from exc
-    raise ParameterError(f"unknown CVI spec {text!r}")

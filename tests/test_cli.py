@@ -129,6 +129,51 @@ def test_config_accepts_every_declared_type(tmp_path):
     assert cfg.candidate_root is None and cfg.min_component_policy is False and cfg.include == []
 
 
+@pytest.mark.parametrize("key", ["battery_root", "candidate_root"])
+def test_config_root_that_is_not_a_directory_is_a_clean_error(tmp_path, capsys, key):
+    # a mistyped candidate_root ran without its candidate files
+    typo = str(tmp_path / "typo")
+    path, cfg = make_config(tmp_path, write_battery(tmp_path / "battery"), **{key: typo})
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.load(str(path))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(typo) in err
+    assert not os.path.exists(cfg["output_dir"])
+
+
+@pytest.mark.parametrize("key", ["include", "exclude"])
+def test_dataset_id_that_names_no_dataset_is_a_clean_error(tmp_path, capsys, key):
+    # an id that matched no dataset was dropped: a typo in include ran
+    # without the dataset, one in exclude ran the dataset it meant to leave out
+    battery = write_battery(tmp_path / "battery")
+    path, cfg = make_config(tmp_path, battery, **{key: ["toy/pairs", "toy/pears"]})
+    with pytest.raises(ConfigError, match=f"{key} .*'toy/pears'"):
+        run_benchmark(RunConfig.load(str(path)))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'toy/pears'" in err
+    assert not os.path.exists(cfg["output_dir"])
+
+
+def test_candidate_root_need_not_hold_every_dataset(tmp_path):
+    battery = write_battery(tmp_path / "battery")
+    cand = tmp_path / "candidates" / "toy" / "pairs"
+    cand.mkdir(parents=True)
+    (cand / "alternate.labels").write_text("\n".join("12" * 8) + "\n")
+    counts = {}
+    for name, root in (("without", None), ("with", str(tmp_path / "candidates"))):
+        path, _ = make_config(
+            tmp_path, battery, out_name=name, specs=["CalinskiHarabasz"], candidate_root=root
+        )
+        rows, failures = run_benchmark(RunConfig.load(str(path)))
+        assert failures == 0 and all(r["status"] == "ok" for r in rows)
+        counts[name] = {(r["dataset"], r["k"]): int(r["candidates"]) for r in rows}
+    # toy/blobs has no directory under the root and runs as without one
+    assert counts["with"][("toy/blobs", "2")] == counts["without"][("toy/blobs", "2")]
+    assert counts["with"][("toy/pairs", "2")] == counts["without"][("toy/pairs", "2")] + 1
+
+
 def test_run_benchmark_smoke(tmp_path):
     battery = write_battery(tmp_path / "battery")
     path, cfg = make_config(tmp_path, battery)

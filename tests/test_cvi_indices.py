@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import (
     random_surjective_labels,
     wcss,
 )
+from test_acceptance import CLASSIC_SPECS, DUNN_OWA_PAIRS, GDUNN_SPECS
 from cviopt import cvi, dataio
 from cviopt.cvi import parse_spec
 from cviopt.errors import ParameterError
@@ -70,6 +73,64 @@ def test_spec_accepts_only_its_canonical_spelling(text, canonical):
 def test_spec_with_an_empty_part_is_a_parameter_error(text):
     with pytest.raises(ParameterError):
         parse_spec(text)
+
+
+#: the paper's grid of indices
+GRID = [
+    *CLASSIC_SPECS,
+    *GDUNN_SPECS,
+    *(f"DuNN_{m}_{s}_{c}" for m in (5, 10, 25) for s, c in DUNN_OWA_PAIRS),
+    *(f"WCNN_{m}" for m in (5, 10, 25)),
+]
+
+
+def _direct(spec, ds, p) -> float:
+    """The family's ``indices`` function, called with the spec's fields by name."""
+    return {
+        "BallHall": lambda: cvi.ball_hall(ds, p),
+        "CalinskiHarabasz": lambda: cvi.calinski_harabasz(ds, p),
+        "DaviesBouldin": lambda: cvi.davies_bouldin(ds, p),
+        "Silhouette": lambda: cvi.silhouette(ds, p),
+        "SilhouetteW": lambda: cvi.silhouette_w(ds, p),
+        "GDunn": lambda: cvi.gdunn(ds, p, spec.d_variant, spec.big_d_variant),
+        "DuNN": lambda: cvi.dunn_nn(ds, p, spec.m, spec.owa_s, spec.owa_c),
+        "WCNN": lambda: cvi.wcnn(ds, p, spec.m),
+    }[spec.family]()
+
+
+def test_spec_grid_round_trips_and_evaluates_as_its_index():
+    assert len(GRID) == 5 + 15 + 3 * len(DUNN_OWA_PAIRS) + 3
+    rng = np.random.default_rng(22)
+    ds = make_dataset(rng, 40, 2)
+    p = from_labels(random_surjective_labels(rng, 40, 3), 3)
+    for text in GRID:
+        spec = parse_spec(text)
+        assert str(spec) == text
+        assert spec.needs_knn == (spec.family in ("DuNN", "WCNN")), text
+        assert cvi.evaluate(spec, ds, p) == _direct(spec, ds, p), text
+
+
+@pytest.mark.parametrize("text", ["GDunn_x1_D1", "WCNN_5_5", "DuNN_5_SMin_Const", "Sausage"])
+def test_malformed_spec_is_a_parameter_error_naming_it(text):
+    with pytest.raises(ParameterError, match=re.escape(repr(text))):
+        parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"family": "BallHall", "m": 5},
+        {"family": "GDunn", "d_variant": 1, "big_d_variant": 1, "m": 3},
+        {"family": "WCNN"},
+        {"family": "DuNN", "m": 3, "owa_s": MIN},
+    ],
+    ids=("stray-m", "gdunn-with-m", "wcnn-without-m", "dunn-without-owa_c"),
+)
+def test_spec_must_set_exactly_its_familys_fields(fields):
+    # a stray field printed away: CVISpec("BallHall", m=5) read "BallHall"
+    # but differed from parse_spec("BallHall"), one name for two specs
+    with pytest.raises(ParameterError, match=fields["family"]):
+        cvi.CVISpec(**fields)
 
 
 def test_ball_hall(x4):

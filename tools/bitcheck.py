@@ -1,6 +1,7 @@
-"""Compare the incremental evaluators, k-means, EMST, tabu climb,
-``optimise_dataset``, canonical relabelling, tabu keys, ARI scoring and
-method dissimilarities of a git revision with the working tree's, bit for bit.
+"""Compare the incremental evaluators, the definitional ``evaluate``,
+k-means, EMST, tabu climb, ``optimise_dataset``, canonical relabelling,
+tabu keys, ARI scoring and method dissimilarities of a git revision with
+the working tree's, bit for bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
@@ -15,6 +16,8 @@ compares with ``==``:
   each of a few random commits: every cell of ``scan()``; every valid
   ``peek``, both before the ``scan()`` and after it; ``value()``, after
   commits made with and without a ``scan()`` before them;
+- ``evaluate`` for every spec on each dataset at a random partition, in
+  both modes;
 - ``lloyd_kmeans`` labels and the state of its generator afterwards, at
   1, 2 and 10 restarts and ``max_iter`` 1, 2 and 300, with k also above
   the distinct point count, on each dataset and on its points times 0.1;
@@ -155,6 +158,21 @@ def datasets(rng):
         for d in (1, 2, 8, 12):
             for k in (2, 3, 5):
                 yield make(rng, int(rng.integers(30, 70)), d), k
+
+
+def compare_evaluate(old, rng) -> tuple[int, int]:
+    """(values compared, mismatches) of the definitional ``evaluate``."""
+    values = bad = 0
+    specs = [parse_spec(text) for text in SPECS]
+    for mode in MODES:
+        geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = mode
+        for ds, k in datasets(rng):
+            part = from_labels(rng.permutation(np.arange(ds.n) % k), k)
+            for spec in specs:
+                values += 1
+                bad += old.evaluate(spec, ds, part) != evaluators.evaluate(spec, ds, part)
+    geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = MODES[0]
+    return values, bad
 
 
 def compare_kmeans(old_optim, rng) -> tuple[int, int]:
@@ -361,6 +379,8 @@ def main(argv=None) -> int:
         print(f"{text:24s} {cells:9d} cells {bad:6d} mismatches", flush=True)
         total, total_bad = total + cells, total_bad + bad
     print(f"total {total} cells, {total_bad} mismatches")
+    values, evaluate_bad = compare_evaluate(old, np.random.default_rng(9))
+    print(f"evaluate {values} values, {evaluate_bad} mismatches")
     calls, kmeans_bad = compare_kmeans(old_optim, np.random.default_rng(1))
     print(f"lloyd_kmeans {calls} calls, {kmeans_bad} mismatches")
     edges, emst_bad = compare_emst(old_geometry, np.random.default_rng(2))
@@ -378,8 +398,8 @@ def main(argv=None) -> int:
     diss_cells, diss_bad = compare_dissimilarity(old_evaluation, np.random.default_rng(7))
     print(f"method_dissimilarity {diss_cells} cells, {diss_bad} mismatches")
     bad = (
-        total_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad + keys_bad
-        + ari_bad + diss_bad
+        total_bad + evaluate_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad
+        + keys_bad + ari_bad + diss_bad
     )
     return 1 if bad else 0
 
