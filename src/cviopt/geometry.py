@@ -2,10 +2,12 @@
 
 Both are memoised on the Dataset (:meth:`Dataset.cached`), so a dataset's
 distance matrix and minimum spanning tree are computed once and reused by
-every index evaluator and optimization run over that dataset.  Every
-consumer reads distances through :class:`DistanceProvider`; only this
-module decides whether the full matrix is materialized (n <= DENSE_LIMIT)
-or each row is computed on demand.
+every index evaluator and optimization run over that dataset.  The n x n
+matrix is read only through :class:`DistanceProvider`, and only this
+module decides whether it is materialized (n <= DENSE_LIMIT) or each row
+is computed on demand.  The exact kNN build (:mod:`cviopt.nngraph`)
+computes its own row blocks instead, so runs that use only NN indices
+never hold the matrix.
 """
 
 from __future__ import annotations
@@ -113,14 +115,17 @@ def _prim(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     near = dp.row(0).copy()  # each point's distance to the tree, +inf once in it
     near[0] = np.inf
     via = np.zeros(n, dtype=np.int64)  # the tree point at that distance
+    closer = np.empty(n, dtype=bool)
     u, v, w = np.empty(n - 1, dtype=np.int64), np.empty(n - 1, dtype=np.int64), np.empty(n - 1)
     for t in range(n - 1):
-        p = int(np.argmin(near))
-        u[t], v[t], w[t] = min(via[p], p), max(via[p], p), near[p]
+        p = int(near.argmin())
+        q = int(via[p])
+        u[t], v[t], w[t] = min(q, p), max(q, p), near[p]
         outside[p] = False
         near[p] = np.inf
         row = dp.row(p)
-        closer = (row < near) & outside
+        np.less(row, near, out=closer)
+        closer &= outside
         np.copyto(near, row, where=closer)
         np.copyto(via, p, where=closer)
     order = np.lexsort((v, u))

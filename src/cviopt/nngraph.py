@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.spatial.distance import cdist
 
@@ -51,9 +51,12 @@ def build_knn(ds: Dataset, M: int) -> NNGraph:
 
     Brute force in row blocks; O(n^2 d) but exact, which is what definitions
     (rather than estimates) of the NN-based indices require.  No row is
-    fully sorted: every point at or under a row's M-th smallest distance
-    is a candidate (more than M only on ties), and the candidates are
-    ordered by (distance, point index), so ties go to the lower index.
+    fully sorted: each row's M+1 smallest distances are selected (all but
+    self's +inf at M = n - 1) and ordered by (distance, point index), and
+    the first M are kept, so ties go to the lower index.  Only a row whose
+    M-th and (M+1)-th distances are equal can have left out a lower index
+    at that distance; such a row is selected again from every point at or
+    under its M-th distance.
     """
     n = ds.n
     if not 1 <= M <= n - 1:
@@ -61,19 +64,23 @@ def build_knn(ds: Dataset, M: int) -> NNGraph:
     pts = ds.points
     nbrs = np.empty((n, M), dtype=np.int64)
     dists = np.empty((n, M), dtype=np.float64)
+    top = min(M, n - 2)
     for points in row_blocks(np.arange(n), n):
         block = cdist(pts[points], pts)
-        block[np.arange(len(points)), points] = np.inf  # exclude self
-        kth = np.partition(block, M - 1, axis=1)[:, M - 1 : M]
-        rows, cols = np.nonzero(block <= kth)
-        near = block[rows, cols]
-        order = np.lexsort((cols, near, rows))
-        rows, cols, near = rows[order], cols[order], near[order]
-        # rank of each candidate within its row; keep the first M
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        keep = rank < M
-        nbrs[points] = cols[keep].reshape(len(points), M)
-        dists[points] = near[keep].reshape(len(points), M)
+        rows = np.arange(len(points))[:, None]
+        block[rows[:, 0], points] = np.inf  # exclude self
+        cols = np.argpartition(block, top, axis=1)[:, : top + 1]
+        near = block.take(cols + n * rows)  # flat indices, row by row
+        order = np.lexsort((cols, near)) + (top + 1) * rows
+        cols, near = cols.take(order), near.take(order)
+        nbrs[points], dists[points] = cols[:, :M], near[:, :M]
+        if top < M:  # M = n - 1: every other point was selected
+            continue
+        for r in np.flatnonzero(near[:, M - 1] == near[:, M]):  # a tie across the M-th place
+            row = block[r]
+            cand = np.flatnonzero(row <= near[r, M - 1])
+            cand = cand[np.lexsort((cand, row[cand]))][:M]
+            nbrs[points[r]], dists[points[r]] = cand, row[cand]
     nbrs.setflags(write=False)
     dists.setflags(write=False)
     return NNGraph(M=M, neighbours=nbrs, distances=dists)
@@ -96,16 +103,17 @@ def symmetric_edges(g: NNGraph) -> EdgeList:
 
 
 def connected_components(g: NNGraph) -> np.ndarray:
-    """Component labels 0..c-1 over the symmetrized edge set.
+    """Component labels 0..c-1 of the undirected near-neighbour graph,
+    read from the directed arcs ``i -> neighbours[i]``.
 
     Components are numbered by first occurrence in point order.
     """
-    edges = symmetric_edges(g)
-    n = g.n
-    adj = coo_matrix(
-        (np.ones(len(edges)), (edges.u, edges.v)), shape=(n, n)
+    n, M = g.neighbours.shape
+    # row i holds i's M arcs, so the neighbour array is already CSR's columns
+    arcs = csr_matrix(
+        (np.ones(n * M), g.neighbours.ravel(), np.arange(0, n * M + 1, M)), shape=(n, n)
     )
-    _, labels = _cc(adj, directed=False)
+    _, labels = _cc(arcs, directed=False)
     return relabel_first_occurrence(labels.astype(np.int64))
 
 

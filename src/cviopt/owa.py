@@ -41,9 +41,10 @@ class OWASpec:
         if ":" in text:
             kind, _, d = text.partition(":")
             try:
-                return cls(kind, int(d))
+                delta = int(d)
             except ValueError as exc:
                 raise ParameterError(f"bad OWA spec {text!r}") from exc
+            return cls(kind, delta)
         return cls(text)
 
     def __str__(self) -> str:

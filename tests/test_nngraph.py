@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
-from conftest import brute_knn, make_dataset
+from conftest import brute_knn, duplicate_points, make_dataset
 from cviopt import dataio, nngraph
 from cviopt.errors import ParameterError
+from cviopt.partition import relabel_first_occurrence
 
 
 def line(*xs):
@@ -56,6 +59,21 @@ def test_knn_on_tied_lattice_matches_brute_force(d, side, Ms):
         assert np.allclose(g.distances, dists), M
 
 
+def test_knn_on_duplicate_points_matches_brute_force():
+    # duplicates tie many distances at the M-th place, n - 2 is the largest
+    # M with an (M+1)-th distance, and n = 2, 3 reach the smallest rows
+    rng = np.random.default_rng(11)
+    sets = [duplicate_points(rng, int(rng.integers(4, 60)), d) for d in (1, 2, 3) * 3]
+    sets += [duplicate_points(rng, n, 2) for n in (2, 3)]
+    sets += [line(0, 1), line(0, 1, 1), line(5, 5, 5)]
+    for ds in sets:
+        for M in sorted({1, ds.n - 2, ds.n - 1} - {0}):
+            g = nngraph.build_knn(ds, M)
+            nbrs, dists = brute_knn(ds.points, M)
+            assert np.array_equal(g.neighbours, nbrs), (ds.n, M)
+            assert np.array_equal(g.distances, dists), (ds.n, M)
+
+
 def test_knn_parameter_errors():
     ds = line(0, 1, 2)
     with pytest.raises(ParameterError):
@@ -106,6 +124,29 @@ def test_connected_components_examples():
     ds = make_dataset(rng, 15, 2)
     g = nngraph.build_knn(ds, ds.n - 1)
     assert nngraph.connected_components(g).max() == 0
+
+
+def components_over_symmetric_edges(g):
+    e = nngraph.symmetric_edges(g)
+    adj = coo_matrix((np.ones(len(e)), (e.u, e.v)), shape=(g.n, g.n))
+    return relabel_first_occurrence(scipy_components(adj, directed=False)[1].astype(np.int64))
+
+
+def test_connected_components_match_symmetric_edges():
+    rng = np.random.default_rng(12)
+    sets = [make_dataset(rng, int(rng.integers(5, 80)), 2) for _ in range(6)]
+    sets += [dataio.Dataset(np.vstack([rng.normal(size=(20, 2)), rng.normal(size=(25, 2)) + 100]))]
+    sets += [duplicate_points(rng, int(rng.integers(5, 60)), 2) for _ in range(6)]
+    for ds in sets:
+        for M in sorted({1, 2, 3, ds.n - 1} & set(range(1, ds.n))):
+            g = nngraph.build_knn(ds, M)
+            labels = nngraph.connected_components(g)
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, components_over_symmetric_edges(g)), (ds.n, M)
+    # the two far-apart blobs share no component at small M
+    for M in (1, 2, 3):
+        labels = nngraph.connected_components(nngraph.build_knn(sets[6], M))
+        assert not set(labels[:20]) & set(labels[20:])
 
 
 def test_component_count_monotone_in_m():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cviopt import owa
+from cviopt.cvi import parse_spec
 from cviopt.errors import EmptyAggregationError, ParameterError
 from cviopt.owa import OWASpec, aggregate, owa_weights
 
@@ -23,6 +24,22 @@ def test_parse_and_str_roundtrip():
         OWASpec.parse("Median")
     with pytest.raises(ParameterError):
         OWASpec("SMin", 0)
+
+
+@pytest.mark.parametrize(
+    "owa_text, reason",
+    [
+        ("Min:3", "Min takes no delta"),
+        ("SMin:0", "SMin needs an integer delta >= 1"),
+        ("Median:3", "unknown OWA kind 'Median'"),
+        ("SMin:x", "bad OWA spec 'SMin:x'"),
+    ],
+)
+def test_bad_owa_in_a_spec_names_the_spec_and_the_reason(owa_text, reason):
+    text = f"DuNN_5_{owa_text}_Min"
+    with pytest.raises(ParameterError) as err:
+        parse_spec(text)
+    assert str(err.value) == f"bad CVI spec {text!r}: {reason}"
 
 
 def test_weights_mean_min_max():

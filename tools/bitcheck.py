@@ -1,13 +1,14 @@
 """Compare the incremental evaluators, the definitional ``evaluate``,
-k-means, EMST, tabu climb, ``optimise_dataset``, canonical relabelling,
-tabu keys, ARI scoring and method dissimilarities of a git revision with
-the working tree's, bit for bit.
+k-means, EMST, exact kNN, tabu climb, ``optimise_dataset``, canonical
+relabelling, tabu keys, ARI scoring and method dissimilarities of a git
+revision with the working tree's, bit for bit.
 
     PYTHONPATH=src python tools/bitcheck.py REV
 
 Loads ``git show REV:src/cviopt/cvi/evaluators.py``, ``REV:src/cviopt/optim.py``,
-``REV:src/cviopt/geometry.py``, ``REV:src/cviopt/partition.py`` and
-``REV:src/cviopt/evaluation.py`` as modules beside the current package (their relative imports resolve to the
+``REV:src/cviopt/geometry.py``, ``REV:src/cviopt/nngraph.py``,
+``REV:src/cviopt/partition.py`` and ``REV:src/cviopt/evaluation.py`` as
+modules beside the current package (their relative imports resolve to the
 current package, so only those files are compared: REV's climb keys its
 tabu list with the current ``partition``) and, on fixed seeded datasets,
 compares with ``==``:
@@ -22,6 +23,8 @@ compares with ``==``:
   1, 2 and 10 restarts and ``max_iter`` 1, 2 and 300, with k also above
   the distinct point count, on each dataset and on its points times 0.1;
 - ``emst``: every edge end and weight, in order;
+- ``build_knn`` at M in {1, 2, 5, n - 2, n - 1}, in both modes: every
+  neighbour and distance, and the ``connected_components`` labels;
 - ``tabu_hill_climb`` for a few specs and patiences, from the random
   candidates of each dataset: the labels and the whole ``OptimTrace``;
 - ``optimise_dataset`` for a few pairs of specs, with a reference labeling
@@ -60,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cviopt import evaluation, geometry, optim, partition
+from cviopt import evaluation, geometry, nngraph, optim, partition
 from cviopt.cvi import evaluators, parse_spec
 from cviopt.dataio import Dataset, ReferenceSet
 from cviopt.partition import from_labels
@@ -211,6 +214,27 @@ def compare_emst(old_geometry, rng) -> tuple[int, int]:
     return edges, bad
 
 
+def compare_knn(old_nngraph, rng) -> tuple[int, int]:
+    """(graphs compared, mismatches) of ``build_knn`` and
+    ``connected_components``, in both modes."""
+    graphs = bad = 0
+    for mode in MODES:
+        geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = mode
+        for ds, _ in datasets(rng):
+            for M in (1, 2, 5, ds.n - 2, ds.n - 1):
+                old, new = old_nngraph.build_knn(ds, M), nngraph.build_knn(ds, M)
+                graphs += 1
+                bad += not (
+                    np.array_equal(old.neighbours, new.neighbours)
+                    and np.array_equal(old.distances, new.distances)
+                    and np.array_equal(
+                        old_nngraph.connected_components(old), nngraph.connected_components(new)
+                    )
+                )
+    geometry.DENSE_LIMIT, geometry._BLOCK_CELLS = MODES[0]
+    return graphs, bad
+
+
 #: specs and patiences of the climb comparison
 CLIMB_SPECS = [
     "CalinskiHarabasz",
@@ -353,6 +377,7 @@ def main(argv=None) -> int:
     old = load_revision(args.rev, "evaluators.py", "cviopt.cvi")
     old_optim = load_revision(args.rev, "optim.py", "cviopt")
     old_geometry = load_revision(args.rev, "geometry.py", "cviopt")
+    old_nngraph = load_revision(args.rev, "nngraph.py", "cviopt")
     old_partition = load_revision(args.rev, "partition.py", "cviopt")
     old_evaluation = load_revision(args.rev, "evaluation.py", "cviopt")
     total = total_bad = 0
@@ -385,6 +410,8 @@ def main(argv=None) -> int:
     print(f"lloyd_kmeans {calls} calls, {kmeans_bad} mismatches")
     edges, emst_bad = compare_emst(old_geometry, np.random.default_rng(2))
     print(f"emst {edges} edges, {emst_bad} mismatches")
+    graphs, knn_bad = compare_knn(old_nngraph, np.random.default_rng(10))
+    print(f"knn {graphs} graphs, {knn_bad} mismatches")
     climbs, climb_bad = compare_climb(old_optim, np.random.default_rng(3))
     print(f"tabu_hill_climb {climbs} climbs, {climb_bad} mismatches")
     runs, optimise_bad = compare_optimise(old_optim, np.random.default_rng(5))
@@ -398,8 +425,8 @@ def main(argv=None) -> int:
     diss_cells, diss_bad = compare_dissimilarity(old_evaluation, np.random.default_rng(7))
     print(f"method_dissimilarity {diss_cells} cells, {diss_bad} mismatches")
     bad = (
-        total_bad + evaluate_bad + kmeans_bad + emst_bad + climb_bad + optimise_bad + relabel_bad
-        + keys_bad + ari_bad + diss_bad
+        total_bad + evaluate_bad + kmeans_bad + emst_bad + knn_bad + climb_bad + optimise_bad
+        + relabel_bad + keys_bad + ari_bad + diss_bad
     )
     return 1 if bad else 0
 
